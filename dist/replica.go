@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -299,7 +298,7 @@ func (rep *Replica) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req privmdr.QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalJSON(body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("dist: query body: %w", err))
 		return
 	}

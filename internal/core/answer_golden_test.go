@@ -14,9 +14,11 @@ import (
 
 // seedHDGPair2D is the seed implementation of hdgEstimator.pair2D: classify
 // every cell of the pair grid, summing grid frequencies for complete cells
-// and response-matrix mass for partial ones. Kept as the golden reference
-// for the complete-block/prefix-sum rewrite.
-func seedHDGPair2D(e *hdgEstimator, a, b int, pa, pb query.Pred) (float64, error) {
+// and response-matrix mass for partial ones, the latter from the c×c
+// reference form of Algorithm 1. Kept as the golden reference for the
+// complete-block rewrite and the atom-grid response matrices alike.
+func seedHDGPair2D(ref *cxcReference, a, b int, pa, pb query.Pred) (float64, error) {
+	e := ref.e
 	pi, err := mech.PairIndex(e.d, a, b)
 	if err != nil {
 		return 0, err
@@ -31,7 +33,7 @@ func seedHDGPair2D(e *hdgEstimator, a, b int, pa, pb query.Pred) (float64, error
 			ans += g.Freq[i]
 		case grid.Partial:
 			if pf == nil {
-				pf, err = e.responseMatrix(pi, a, b)
+				pf, err = ref.matrix(pi, a, b)
 				if err != nil {
 					return 0, err
 				}
@@ -42,9 +44,9 @@ func seedHDGPair2D(e *hdgEstimator, a, b int, pa, pb query.Pred) (float64, error
 	return ans, nil
 }
 
-// TestHDGPair2DGolden pins the rewritten pair2D to the seed's per-cell scan
-// on a fitted estimator, across a fixed random 2-D workload (cell-aligned
-// and cutting queries alike).
+// TestHDGPair2DGolden pins pair2D to the seed's per-cell scan over the c×c
+// reference matrices on a fitted estimator, across a fixed random 2-D
+// workload (cell-aligned and cutting queries alike).
 func TestHDGPair2DGolden(t *testing.T) {
 	ds, err := dataset.ByName("normal", dataset.GenOptions{N: 20_000, D: 3, C: 64, Seed: 4})
 	if err != nil {
@@ -54,6 +56,7 @@ func TestHDGPair2DGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newCxCReference(est)
 	rng := ldprand.New(9)
 	pairs := mech.AllPairs(3)
 	for trial := 0; trial < 400; trial++ {
@@ -65,7 +68,7 @@ func TestHDGPair2DGolden(t *testing.T) {
 		hi2 := lo2 + rng.IntN(64-lo2)
 		pa := query.Pred{Attr: a, Lo: lo1, Hi: hi1}
 		pb := query.Pred{Attr: b, Lo: lo2, Hi: hi2}
-		want, err := seedHDGPair2D(est, a, b, pa, pb)
+		want, err := seedHDGPair2D(ref, a, b, pa, pb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +98,8 @@ func TestHDGEagerMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi := range eager.prefix {
-		if eager.prefix[pi] == nil {
+	for pi := range eager.atoms {
+		if eager.atoms[pi] == nil {
 			t.Fatalf("pair %d response matrix not built at Finalize", pi)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"privmdr/internal/consistency"
 	"privmdr/internal/dataset"
 	"privmdr/internal/grid"
-	"privmdr/internal/mathx"
 	"privmdr/internal/mech"
 	"privmdr/internal/mwem"
 	"privmdr/internal/query"
@@ -38,6 +37,14 @@ func (h *HDG) Name() string {
 // matrices are built exactly once behind sync.Once, and the optional trace
 // collection is mutex-guarded — so Answer and AnswerBatch are safe for
 // concurrent use.
+//
+// A pair's response matrix is kept on its atom grid rather than as c×c
+// cells. c, g₁ and g₂ are powers of two, so the pair's 1-D and 2-D cell
+// boundaries cut [0,c)² into the uniform g×g grid of atoms, g = max(g₁, g₂).
+// Algorithm 1 starts uniform and every update rescales whole constraint
+// rectangles, hence whole atoms: the c×c cells inside an atom stay equal, and
+// running the iteration on atom masses is the same computation in exact
+// arithmetic. Memory and warm-up per pair depend on g, not on c.
 type hdgEstimator struct {
 	c, d   int
 	G1, G2 int
@@ -46,11 +53,10 @@ type hdgEstimator struct {
 	wu     mwem.Options
 	traces bool
 
-	// prefix[pi] holds the prefix sums of pair pi's response matrix, built
-	// at most once by matOnce[pi] (the raw matrix is discarded once summed);
-	// matErr[pi] records a build failure. Reads are safe after the
-	// corresponding Once completes.
-	prefix  []*mathx.Prefix2D
+	// atoms[pi] is pair pi's response matrix as a sealed g×g grid over
+	// [0,c)², built at most once by matOnce[pi]; matErr[pi] records a build
+	// failure. Reads are safe after the corresponding Once completes.
+	atoms   []*grid.Grid2D
 	matOnce []sync.Once
 	matErr  []error
 
@@ -76,7 +82,7 @@ func newHDGEstimator(c, d, g1, g2 int, grids1 []*grid.Grid1D, grids2 []*grid.Gri
 		grids2:  grids2,
 		wu:      wu,
 		traces:  traces,
-		prefix:  make([]*mathx.Prefix2D, len(grids2)),
+		atoms:   make([]*grid.Grid2D, len(grids2)),
 		matOnce: make([]sync.Once, len(grids2)),
 		matErr:  make([]error, len(grids2)),
 	}
@@ -121,36 +127,36 @@ func postProcessHybrid(d int, grids1 []*grid.Grid1D, grids2 []*grid.Grid2D, roun
 	return pipeline.Run(rounds)
 }
 
-// responseMatrix returns the prefix sums of the pair's response matrix,
-// building them at most once (Algorithm 1, fusing {G(j), G(k), G(j,k)}).
+// responseMatrix returns the pair's sealed atom-grid response matrix,
+// building it at most once (Algorithm 1, fusing {G(j), G(k), G(j,k)}).
 // Safe for concurrent use: the first caller builds, everyone else waits.
-func (e *hdgEstimator) responseMatrix(pi int, a, b int) (*mathx.Prefix2D, error) {
+func (e *hdgEstimator) responseMatrix(pi int, a, b int) (*grid.Grid2D, error) {
 	e.matOnce[pi].Do(func() { e.buildResponseMatrix(pi, a, b) })
 	if err := e.matErr[pi]; err != nil {
 		return nil, err
 	}
-	return e.prefix[pi], nil
+	return e.atoms[pi], nil
 }
 
-// buildResponseMatrix runs Algorithm 1 for pair pi and memoizes the prefix
-// sums of the result. Called exactly once per pair via matOnce.
+// buildResponseMatrix runs Algorithm 1 for pair pi on its atom grid and
+// memoizes the sealed result. Called exactly once per pair via matOnce.
 func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
-	c := e.c
-	var cells []mwem.CellConstraint
+	g := max(e.G1, e.G2)
 	ga, gb, gab := e.grids1[a], e.grids1[b], e.grids2[pi]
+	cells := make([]mwem.CellConstraint, 0, len(ga.Freq)+len(gb.Freq)+len(gab.Freq))
+	k := g / e.G1 // atoms per 1-D cell
 	for i, f := range ga.Freq {
-		lo, hi := ga.CellInterval(i)
-		cells = append(cells, mwem.CellConstraint{R0: lo, R1: hi, C0: 0, C1: c - 1, Freq: f})
+		cells = append(cells, mwem.CellConstraint{R0: i * k, R1: (i+1)*k - 1, C0: 0, C1: g - 1, Freq: f})
 	}
 	for i, f := range gb.Freq {
-		lo, hi := gb.CellInterval(i)
-		cells = append(cells, mwem.CellConstraint{R0: 0, R1: c - 1, C0: lo, C1: hi, Freq: f})
+		cells = append(cells, mwem.CellConstraint{R0: 0, R1: g - 1, C0: i * k, C1: (i+1)*k - 1, Freq: f})
 	}
+	k = g / e.G2 // atoms per 2-D cell side
 	for i, f := range gab.Freq {
-		r0, r1, c0, c1 := gab.CellRect(i)
-		cells = append(cells, mwem.CellConstraint{R0: r0, R1: r1, C0: c0, C1: c1, Freq: f})
+		r, col := i/e.G2, i%e.G2
+		cells = append(cells, mwem.CellConstraint{R0: r * k, R1: (r+1)*k - 1, C0: col * k, C1: (col+1)*k - 1, Freq: f})
 	}
-	m, trace, err := mwem.BuildResponseMatrix(c, cells, e.wu)
+	m, trace, err := mwem.BuildResponseMatrix(g, cells, e.wu)
 	if err != nil {
 		e.matErr[pi] = err
 		return
@@ -160,12 +166,14 @@ func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
 		e.Alg1Traces = append(e.Alg1Traces, trace)
 		e.mu.Unlock()
 	}
-	p, err := mathx.NewPrefix2D(m, c, c)
+	atoms, err := grid.NewGrid2D(e.c, g)
 	if err != nil {
 		e.matErr[pi] = err
 		return
 	}
-	e.prefix[pi] = p
+	atoms.Freq = m
+	atoms.Seal()
+	e.atoms[pi] = atoms
 }
 
 // PrecomputeMatrices builds every pair's response matrix up front instead of
@@ -183,8 +191,8 @@ func (e *hdgEstimator) PrecomputeMatrices() error {
 // pair2D answers a 2-D query on pair (a, b): completely covered cells
 // contribute their grid frequency (one O(1) block sum on the sealed grid);
 // the partially covered boundary cells tile the query rectangle minus the
-// complete block, so their response-matrix mass is a single
-// inclusion–exclusion of prefix sums.
+// complete block, so their response-matrix mass is the atom grid's O(1)
+// answer over the rectangle minus its O(1) sum over the complete block.
 func (e *hdgEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
 	pi, err := mech.PairIndex(e.d, a, b)
 	if err != nil {
@@ -202,13 +210,14 @@ func (e *hdgEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
 			return ans, nil
 		}
 	}
-	pf, err := e.responseMatrix(pi, a, b)
+	atoms, err := e.responseMatrix(pi, a, b)
 	if err != nil {
 		return 0, err
 	}
-	partial := pf.RangeSum(pa.Lo, pa.Hi, pb.Lo, pb.Hi)
+	partial := atoms.AnswerUniform(pa.Lo, pa.Hi, pb.Lo, pb.Hi)
 	if ok {
-		partial -= pf.RangeSum(cr0*w, (cr1+1)*w-1, cc0*w, (cc1+1)*w-1)
+		k := atoms.G / g.G // atoms per cell side
+		partial -= atoms.BlockSum(cr0*k, (cr1+1)*k-1, cc0*k, (cc1+1)*k-1)
 	}
 	return ans + partial, nil
 }

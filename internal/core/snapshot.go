@@ -58,7 +58,7 @@ type Snapshotter interface {
 	Snapshot() *Snapshot
 }
 
-// FromSnapshot reconstructs an HDG estimator. Response-matrix prefix sums
+// FromSnapshot reconstructs an HDG estimator. Atom-grid response matrices
 // are rebuilt lazily on first use, exactly as after a fresh Fit.
 func FromSnapshot(s *Snapshot) (mech.Estimator, error) {
 	if s == nil {

@@ -7,9 +7,10 @@
 // rule used by TDG.
 //
 // Answering is span-based: only the cells a query touches are visited, and a
-// grid that has been Sealed answers from precomputed prefix sums — O(1)
-// interior mass plus the handful of boundary cells located by index
-// arithmetic — instead of scanning every cell.
+// grid that has been Sealed answers from precomputed prefix sums in O(1) —
+// the 1-D interior by one subtraction plus its two boundary cells, a 2-D
+// rectangle by bilinear lookups at its four corners — instead of scanning
+// every cell.
 package grid
 
 import (
@@ -118,9 +119,8 @@ func NewGrid2D(c, g int) (*Grid2D, error) {
 }
 
 // Seal freezes the grid for answering: it precomputes 2-D prefix sums so a
-// range answer costs O(1) interior mass plus O(perimeter) boundary cells.
-// Call it once all mutation of Freq is done; a sealed grid is safe for
-// concurrent AnswerUniform/BlockSum calls.
+// range answer costs O(1). Call it once all mutation of Freq is done; a
+// sealed grid is safe for concurrent AnswerUniform/BlockSum calls.
 func (g *Grid2D) Seal() {
 	p, err := mathx.NewPrefix2D(g.Freq, g.G, g.G)
 	if err != nil {
@@ -174,47 +174,6 @@ func (g *Grid2D) Classify(i, qr0, qr1, qc0, qc1 int) (Overlap, int, int, int, in
 	return Partial, ir0, ir1, ic0, ic1
 }
 
-// axisSeg is a run of consecutive cells on one axis sharing the same overlap
-// fraction with the query interval.
-type axisSeg struct {
-	lo, hi int
-	frac   float64
-}
-
-// axisSegments splits the touched cell span of [q0, q1] (cell width w) into
-// at most three constant-fraction segments: a partial head cell, the fully
-// covered interior, and a partial tail cell.
-func axisSegments(q0, q1, w int) (segs [3]axisSeg, n int) {
-	i0, i1 := q0/w, q1/w
-	if i0 == i1 {
-		segs[0] = axisSeg{i0, i1, float64(q1-q0+1) / float64(w)}
-		return segs, 1
-	}
-	full0, full1 := i0, i1
-	var head, tail axisSeg
-	if h := (i0+1)*w - q0; h != w {
-		head = axisSeg{i0, i0, float64(h) / float64(w)}
-		full0 = i0 + 1
-	}
-	if t := q1 - i1*w + 1; t != w {
-		tail = axisSeg{i1, i1, float64(t) / float64(w)}
-		full1 = i1 - 1
-	}
-	if head.frac > 0 {
-		segs[n] = head
-		n++
-	}
-	if full0 <= full1 {
-		segs[n] = axisSeg{full0, full1, 1}
-		n++
-	}
-	if tail.frac > 0 {
-		segs[n] = tail
-		n++
-	}
-	return segs, n
-}
-
 // BlockSum returns the sum of Freq over the inclusive cell block
 // [r0,r1]×[c0,c1] — O(1) on a sealed grid.
 func (g *Grid2D) BlockSum(r0, r1, c0, c1 int) float64 {
@@ -250,22 +209,55 @@ func (g *Grid2D) CompleteBlock(qr0, qr1, qc0, qc1 int) (r0, r1, c0, c1 int, ok b
 // AnswerUniform answers the 2-D range query [qr0,qr1]×[qc0,qc1] from cell
 // frequencies under the uniformity assumption (TDG's Phase 3 rule): complete
 // cells contribute their whole frequency; partial cells contribute
-// proportionally to the overlapped area. The overlap area of a cell is the
-// product of its per-axis overlaps, so the answer decomposes into at most
-// nine constant-fraction blocks — each an O(1) prefix lookup on a sealed
-// grid.
+// proportionally to the overlapped area. On a sealed grid the answer is one
+// inclusion–exclusion over massBelow at the rectangle's four corners — O(1)
+// whatever the grid size; an unsealed grid visits the touched cells.
 func (g *Grid2D) AnswerUniform(qr0, qr1, qc0, qc1 int) float64 {
 	w := g.CellWidth()
-	rsegs, rn := axisSegments(qr0, qr1, w)
-	csegs, cn := axisSegments(qc0, qc1, w)
+	if g.prefix != nil {
+		r0, r1 := g.locate(qr0, w), g.locate(qr1+1, w)
+		c0, c1 := g.locate(qc0, w), g.locate(qc1+1, w)
+		return g.massBelow(r1, c1) - g.massBelow(r0, c1) - g.massBelow(r1, c0) + g.massBelow(r0, c0)
+	}
 	ans := 0.0
-	for i := 0; i < rn; i++ {
-		for j := 0; j < cn; j++ {
-			f := rsegs[i].frac * csegs[j].frac
-			ans += f * g.BlockSum(rsegs[i].lo, rsegs[i].hi, csegs[j].lo, csegs[j].hi)
+	for r := qr0 / w; r <= qr1/w; r++ {
+		fr := overlapFrac(r, w, qr0, qr1)
+		for c := qc0 / w; c <= qc1/w; c++ {
+			ans += g.Freq[r*g.G+c] * fr * overlapFrac(c, w, qc0, qc1)
 		}
 	}
 	return ans
+}
+
+// overlapFrac is the fraction of cell i (width w) inside the value interval
+// [lo, hi].
+func overlapFrac(i, w, lo, hi int) float64 {
+	return float64(min(hi, (i+1)*w-1)-max(lo, i*w)+1) / float64(w)
+}
+
+// boundary is a value boundary x (0 ≤ x ≤ C) on one axis: it lies a
+// fraction t of the way from cell boundary i to i1 = i+1 (clamped to G,
+// where t is 0).
+type boundary struct {
+	i, i1 int
+	t     float64
+}
+
+// locate places the value boundary x on an axis of cell width w.
+func (g *Grid2D) locate(x, w int) boundary {
+	i := x / w
+	return boundary{i, min(i+1, g.G), float64(x-i*w) / float64(w)}
+}
+
+// massBelow returns the uniformity-rule mass of the value rectangle
+// [0,x)×[0,y) on a sealed grid. Under in-cell uniformity that mass is
+// bilinear inside each cell, so it is the bilinear interpolation of the cell
+// prefix sums; at cell corners it is the prefix sum itself, which makes
+// cell-aligned answers exactly BlockSum.
+func (g *Grid2D) massBelow(x, y boundary) float64 {
+	p := g.prefix
+	s00, s10, s01, s11 := p.At(x.i, y.i), p.At(x.i1, y.i), p.At(x.i, y.i1), p.At(x.i1, y.i1)
+	return s00 + x.t*(s10-s00) + y.t*(s01-s00) + x.t*y.t*(s11-s10-s01+s00)
 }
 
 // RowMarginal returns the G-vector of row sums (the grid's marginal on its

@@ -315,6 +315,28 @@ func TestGrid2DAnswerUniformGolden(t *testing.T) {
 	}
 }
 
+// TestGrid2DSealedAlignedIsBlockSum pins the sealed answer's exactness at
+// cell corners: a cell-aligned rectangle touches only prefix entries, so
+// AnswerUniform equals BlockSum bit for bit.
+func TestGrid2DSealedAlignedIsBlockSum(t *testing.T) {
+	g, _ := NewGrid2D(64, 8) // cells 8×8
+	rng := ldprand.New(16)
+	for i := range g.Freq {
+		g.Freq[i] = rng.Float64()*0.1 - 0.02
+	}
+	g.Seal()
+	for trial := 0; trial < 300; trial++ {
+		r0 := rng.IntN(8)
+		r1 := r0 + rng.IntN(8-r0)
+		c0 := rng.IntN(8)
+		c1 := c0 + rng.IntN(8-c0)
+		want := g.BlockSum(r0, r1, c0, c1)
+		if got := g.AnswerUniform(r0*8, (r1+1)*8-1, c0*8, (c1+1)*8-1); got != want {
+			t.Fatalf("cells [%d,%d]×[%d,%d]: AnswerUniform %v, BlockSum %v", r0, r1, c0, c1, got, want)
+		}
+	}
+}
+
 func TestGrid2DCompleteBlock(t *testing.T) {
 	g, _ := NewGrid2D(32, 8) // cells 4×4
 	rng := ldprand.New(13)
@@ -361,8 +383,9 @@ func TestGridSealDoesNotChangeAnswers(t *testing.T) {
 	}
 }
 
-// BenchmarkGrid2DAnswerUniform contrasts the sealed prefix-sum path with the
-// seed's full-grid scan on a production-sized grid.
+// BenchmarkGrid2DAnswerUniform contrasts the sealed path (four bilinear
+// prefix lookups) with the unsealed touched-cell loop and the seed's
+// full-grid scan on a production-sized grid.
 func BenchmarkGrid2DAnswerUniform(b *testing.B) {
 	g, _ := NewGrid2D(1024, 64)
 	rng := ldprand.New(15)

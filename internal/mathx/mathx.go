@@ -171,6 +171,10 @@ func NewPrefix2D(m []float64, rows, cols int) (*Prefix2D, error) {
 	return p, nil
 }
 
+// At returns the sum of the block [0,i)×[0,j): the prefix table entry, for
+// 0 ≤ i ≤ rows and 0 ≤ j ≤ cols.
+func (p *Prefix2D) At(i, j int) float64 { return p.s[i*(p.cols+1)+j] }
+
 // RangeSum returns the sum of the inclusive rectangle [r0,r1]×[c0,c1].
 func (p *Prefix2D) RangeSum(r0, r1, c0, c1 int) float64 {
 	if r0 > r1 || c0 > c1 {

@@ -285,6 +285,27 @@ func TestPrefix2DAgainstBruteForce(t *testing.T) {
 	}
 }
 
+func TestPrefix2DAt(t *testing.T) {
+	m := []float64{1, 2, 3, 4, 5, 6} // 2×3
+	p, err := NewPrefix2D(m, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 2; i++ {
+		for j := 0; j <= 3; j++ {
+			want := 0.0
+			for r := 0; r < i; r++ {
+				for c := 0; c < j; c++ {
+					want += m[r*3+c]
+				}
+			}
+			if got := p.At(i, j); got != want {
+				t.Errorf("At(%d,%d) = %g, want %g", i, j, got, want)
+			}
+		}
+	}
+}
+
 func TestPrefix2DClamping(t *testing.T) {
 	m := []float64{1, 2, 3, 4}
 	p, err := NewPrefix2D(m, 2, 2)

@@ -1,8 +1,8 @@
 // Package mwem implements the paper's two Weighted Update procedures
 // (Arora/Hardt-style multiplicative weights):
 //
-//   - Algorithm 1 — building the c×c response matrix M^(j,k) for an
-//     attribute pair from the three grids {G(j), G(k), G(j,k)} (Section 4.3);
+//   - Algorithm 1 — building the response matrix M^(j,k) for an attribute
+//     pair from the three grids {G(j), G(k), G(j,k)} (Section 4.3);
 //   - Algorithm 2 — estimating the answer of a λ-D range query from its
 //     (λ choose 2) associated 2-D answers (Section 4.4);
 //
@@ -55,26 +55,32 @@ func (o Options) withDefaults() Options {
 }
 
 // CellConstraint is one grid cell's contribution to Algorithm 1: the
-// inclusive value rectangle the cell covers in the pair's [0,c)×[0,c) domain
-// (1-D cells span the full range of the other attribute) and the cell's
-// post-processed frequency.
+// inclusive rectangle of matrix entries the cell covers in the pair's n×n
+// matrix (1-D cells span the full range of the other attribute) and the
+// cell's post-processed frequency.
 type CellConstraint struct {
 	R0, R1, C0, C1 int
 	Freq           float64
 }
 
-// BuildResponseMatrix runs Algorithm 1: starting from the uniform matrix it
-// repeatedly rescales each constraint's rectangle so its mass matches the
-// cell frequency, until the per-sweep L1 change drops below opts.Tol.
-// It returns the c×c matrix (row-major; rows = first attribute) and the
-// per-sweep change trace.
-func BuildResponseMatrix(c int, cells []CellConstraint, opts Options) ([]float64, []float64, error) {
-	if c < 1 {
-		return nil, nil, fmt.Errorf("mwem: domain size %d < 1", c)
+// BuildResponseMatrix runs Algorithm 1 on an n×n matrix: starting from the
+// uniform matrix it repeatedly rescales each constraint's rectangle so its
+// mass matches the cell frequency, until the per-sweep L1 change drops
+// below opts.Tol. It returns the matrix (row-major; rows = first attribute)
+// and the per-sweep change trace.
+//
+// The paper states it over the pair's c×c value domain. HDG calls it with
+// n = g, the pair's atom grid: the cells cut out by the 1-D and 2-D grid
+// boundaries, each atom one entry holding its whole mass. Every rescaling
+// covers whole atoms, so that is the same iteration in exact arithmetic at
+// g² entries instead of c².
+func BuildResponseMatrix(n int, cells []CellConstraint, opts Options) ([]float64, []float64, error) {
+	if n < 1 {
+		return nil, nil, fmt.Errorf("mwem: domain size %d < 1", n)
 	}
 	opts = opts.withDefaults()
-	m := make([]float64, c*c)
-	init := 1 / float64(c*c)
+	m := make([]float64, n*n)
+	init := 1 / float64(n*n)
 	for i := range m {
 		m[i] = init
 	}
@@ -84,7 +90,7 @@ func BuildResponseMatrix(c int, cells []CellConstraint, opts Options) ([]float64
 		for _, s := range cells {
 			y := 0.0
 			for r := s.R0; r <= s.R1; r++ {
-				row := m[r*c : r*c+c]
+				row := m[r*n : r*n+n]
 				for col := s.C0; col <= s.C1; col++ {
 					y += row[col]
 				}
@@ -97,7 +103,7 @@ func BuildResponseMatrix(c int, cells []CellConstraint, opts Options) ([]float64
 				continue
 			}
 			for r := s.R0; r <= s.R1; r++ {
-				row := m[r*c : r*c+c]
+				row := m[r*n : r*n+n]
 				for col := s.C0; col <= s.C1; col++ {
 					old := row[col]
 					row[col] = old * factor

@@ -761,10 +761,14 @@ func (s *QueryServer) handleFinalize(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
+		writeError(w, bodyErrStatus(err), fmt.Errorf("reading query batch: %w", err))
+		return
+	}
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, bodyErrStatus(err), fmt.Errorf("decoding query batch: %w", err))
+	if err := req.UnmarshalJSON(body); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding query batch: %w", err))
 		return
 	}
 	if len(req.Queries) == 0 {

@@ -2,10 +2,12 @@ package privmdr_test
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -357,4 +359,76 @@ func TestRefreshRequiresLiveMode(t *testing.T) {
 	if _, err := srv.Estimate(); err == nil {
 		t.Fatal("Estimate after finalize should fail")
 	}
+}
+
+// TestLiveHDGLargeDomain serves a live HDG deployment over a 16-bit
+// attribute domain. A c×c response matrix would hold 2³² floats (32 GiB) per
+// pair; on the atom grid a refresh and a 2-D query cutting through cells
+// keep the server's live heap to a few MiB.
+func TestLiveHDGLargeDomain(t *testing.T) {
+	const c = 1 << 16
+	params := privmdr.Params{N: 20_000, D: 2, C: c, Eps: 1.0, Seed: 17}
+	ds, err := privmdr.GenerateDataset("normal", privmdr.GenOptions{N: params.N, D: params.D, C: c, Seed: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := privmdr.ProtocolByName("HDG", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := make([]privmdr.Report, params.N)
+	record := make([]int, params.D)
+	for u := range reports {
+		a, err := proto.Assignment(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range record {
+			record[i] = ds.Value(i, u)
+		}
+		if reports[u], err = proto.ClientReport(a, record, privmdr.ClientRand(params, u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame, err := privmdr.EncodeReports(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := privmdr.Query{{Attr: 0, Lo: 1001, Hi: 40_003}, {Attr: 1, Lo: 12_345, Hi: 60_001}}
+	body, err := json.Marshal(privmdr.QueryRequest{Queries: []privmdr.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := privmdr.TrueAnswers(ds, []privmdr.Query{q})[0]
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, ts := startLive(t, proto, privmdr.LiveOptions{})
+	if code, msg := postBody(t, ts.URL+"/reports", "application/octet-stream", frame); code != http.StatusOK {
+		t.Fatalf("POST /reports: %d %s", code, msg)
+	}
+	if code, msg := postBody(t, ts.URL+"/refresh", "application/json", nil); code != http.StatusOK {
+		t.Fatalf("POST /refresh: %d %s", code, msg)
+	}
+	code, msg := postBody(t, ts.URL+"/query", "application/json", body)
+	if code != http.StatusOK {
+		t.Fatalf("POST /query: %d %s", code, msg)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(frame)
+
+	var resp privmdr.QueryResponse
+	if err := json.Unmarshal(msg, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Answers) != 1 || math.Abs(resp.Answers[0]-truth) > 0.1 {
+		t.Fatalf("answers %v, true answer %v", resp.Answers, truth)
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grown > 4<<20 {
+		t.Fatalf("live heap grew by %.1f MiB serving c = %d, want under 4 MiB", float64(grown)/(1<<20), c)
+	}
+	t.Logf("c = %d: live heap grew %.2f MiB; answer %.4f, true %.4f", c, float64(grown)/(1<<20), resp.Answers[0], truth)
 }
