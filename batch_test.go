@@ -69,9 +69,8 @@ func TestAnswerBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("sequential query %d: %v", i, err)
 				}
 			}
-			// A fresh fit, so the batch path — not the sequential loop
-			// above — triggers the lazy response-matrix builds, concurrently
-			// once the batch outlasts AnswerQueries' inline budget.
+			// A fresh fit, so the batch workers — not the sequential loop
+			// above — trigger the lazy response-matrix builds concurrently.
 			fresh, err := privmdr.Fit(m, ds, eps, 23)
 			if err != nil {
 				t.Fatal(err)

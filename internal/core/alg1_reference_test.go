@@ -47,11 +47,12 @@ func cxcAlg1(e *hdgEstimator, pi, a, b int) (*mathx.Prefix2D, []float64, error) 
 type cxcReference struct {
 	e      *hdgEstimator
 	prefix []*mathx.Prefix2D
-	traces [][]float64 // one per matrix, in build order
+	traces [][]float64 // per pair, nil until its matrix is built
+	jit    *cxcReference
 }
 
 func newCxCReference(e *hdgEstimator) *cxcReference {
-	return &cxcReference{e: e, prefix: make([]*mathx.Prefix2D, len(e.grids2))}
+	return &cxcReference{e: e, prefix: make([]*mathx.Prefix2D, len(e.grids2)), traces: make([][]float64, len(e.grids2))}
 }
 
 func (r *cxcReference) matrix(pi, a, b int) (*mathx.Prefix2D, error) {
@@ -60,8 +61,7 @@ func (r *cxcReference) matrix(pi, a, b int) (*mathx.Prefix2D, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.prefix[pi] = p
-		r.traces = append(r.traces, trace)
+		r.prefix[pi], r.traces[pi] = p, trace
 	}
 	return r.prefix[pi], nil
 }
@@ -110,9 +110,15 @@ func jitter(i int, f float64) float64 {
 	return f * (1 - 1e-12)
 }
 
-// jittered rebuilds e with every grid frequency jittered, collecting traces.
-func jittered(t *testing.T, e *hdgEstimator) *hdgEstimator {
+// jittered is the reference over r's estimator with every grid frequency
+// jittered, built on first use. Only its c×c matrices are ever built: the
+// conditioning checks below never consult the atom grid under test.
+func (r *cxcReference) jittered(t *testing.T) *cxcReference {
 	t.Helper()
+	if r.jit != nil {
+		return r.jit
+	}
+	e := r.e
 	grids1 := make([]*grid.Grid1D, len(e.grids1))
 	for a, src := range e.grids1 {
 		g, err := grid.NewGrid1D(e.c, e.G1)
@@ -135,32 +141,33 @@ func jittered(t *testing.T, e *hdgEstimator) *hdgEstimator {
 		}
 		grids2[pi] = g
 	}
-	j := newHDGEstimator(e.c, e.d, e.G1, e.G2, grids1, grids2, e.wu, true)
-	if err := j.PrecomputeMatrices(); err != nil {
-		t.Fatal(err)
-	}
-	return j
+	r.jit = newCxCReference(newHDGEstimator(e.c, e.d, e.G1, e.G2, grids1, grids2, e.wu, false))
+	return r.jit
 }
 
-// unstablePairs marks the pairs whose Algorithm 1 amplifies rounding: the
-// trace or an atom mass moves past the contract when the inputs are
-// jittered. Post-processed grids are non-negative, so every sum Algorithm 1
-// takes is well conditioned; IHDG's raw grids keep negative cells, and a
+// unstableAlg1 reports whether the reference's Algorithm 1 amplifies
+// rounding on pair pi: rebuilt from jittered inputs, its trace moves past
+// traceWithin. Post-processed grids are non-negative, so every sum Algorithm
+// 1 takes is well conditioned; IHDG's raw grids keep negative cells, and a
 // constraint whose mass nearly cancels makes a huge, unstable rescaling.
-func unstablePairs(t *testing.T, e *hdgEstimator) []bool {
+func (r *cxcReference) unstableAlg1(t *testing.T, pi, a, b int) bool {
 	t.Helper()
-	j := jittered(t, e)
-	base, moved := e.Alg1ConvergenceTraces(), j.Alg1ConvergenceTraces()
-	unstable := make([]bool, len(e.atoms))
-	for pi := range e.atoms {
-		unstable[pi] = !traceWithin(moved[pi], base[pi])
-		for k, m := range e.atoms[pi].Freq {
-			if !within(j.atoms[pi].Freq[k], m) {
-				unstable[pi] = true
-			}
-		}
+	j := r.jittered(t)
+	if _, err := j.matrix(pi, a, b); err != nil {
+		t.Fatal(err)
 	}
-	return unstable
+	return !traceWithin(j.traces[pi], r.traces[pi])
+}
+
+// unstablePair2D reports whether the reference's 2-D answer want moves past
+// within() when rebuilt from jittered inputs.
+func (r *cxcReference) unstablePair2D(t *testing.T, a, b int, pa, pb query.Pred, want float64) bool {
+	t.Helper()
+	f, err := seedHDGPair2D(r.jittered(t), a, b, pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return !within(f, want)
 }
 
 // unstableAlg2 reports whether Algorithm 2 amplifies rounding on the λ-D
@@ -182,10 +189,12 @@ func (r *cxcReference) unstableAlg2(q query.Query, want float64) (bool, error) {
 // grids keep negative cells), and granularity overrides. The convergence
 // traces, warmed in pair order, have the same sweep counts and agree entry
 // by entry (traceWithin); every 2-D and λ-D answer agrees to 1e-9 relative
-// (within). The two forms are the same iteration in exact arithmetic, so the
-// only exemption is where the iteration itself amplifies rounding past the
-// contract, which a jitter of the inputs at rounding scale detects: pairs
-// (unstablePairs) and λ-D queries (unstableAlg2) of IHDG, never of HDG.
+// (within). The two forms are the same iteration in exact arithmetic, so a
+// mismatch is excused only where the reference itself amplifies rounding
+// past the contract, which a rounding-scale jitter of the reference's inputs
+// detects: pairs (unstableAlg1, unstablePair2D) and λ-D queries
+// (unstableAlg2) of IHDG, never of HDG, and no more of them than the table
+// is known to hold.
 func TestHDGAtomGridMatchesCxC(t *testing.T) {
 	type config struct {
 		d, c, g1 int
@@ -216,6 +225,10 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 		config{d: 3, c: 256, g1: 128, eps: 0.2, skipPost: true},
 		config{d: 2, c: 1024, g1: 128, eps: 1},
 	)
+	// The most exemptions the table may take: what it holds, with a little
+	// room. More means the atom grid disagrees where the reference is
+	// merely ill conditioned more often than it used to.
+	const maxUnstablePairs, maxUnstableQueries = 2, 15
 	var worstAns, worstTrace float64
 	var unstable1, unstable2 int
 	for ci, cfg := range configs {
@@ -243,25 +256,28 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			unstable := unstablePairs(t, est)
+			// unstable marks the pairs exempted so far; exempt adds one.
+			unstable := make([]bool, len(pairs))
+			exempt := func(what string, pi int) {
+				t.Helper()
+				if !cfg.skipPost {
+					t.Fatalf("%s: c×c reference unstable on post-processed grids", what)
+				}
+				unstable[pi] = true
+				unstable1++
+			}
 
 			got := est.Alg1ConvergenceTraces()
 			if len(got) != len(ref.traces) {
 				t.Fatalf("%d Algorithm 1 traces, reference %d", len(got), len(ref.traces))
 			}
 			for pi, want := range ref.traces {
-				if unstable[pi] {
-					if !cfg.skipPost {
-						t.Fatalf("pair %d: Algorithm 1 unstable on post-processed grids", pi)
-					}
-					unstable1++
-					continue
-				}
-				if len(got[pi]) != len(want) {
-					t.Fatalf("pair %d: %d sweeps, reference %d", pi, len(got[pi]), len(want))
-				}
 				if !traceWithin(got[pi], want) {
-					t.Fatalf("pair %d: trace %v, reference %v", pi, got[pi], want)
+					if !ref.unstableAlg1(t, pi, pairs[pi][0], pairs[pi][1]) {
+						t.Fatalf("pair %d: trace %v (%d sweeps), reference %v (%d sweeps)", pi, got[pi], len(got[pi]), want, len(want))
+					}
+					exempt(fmt.Sprintf("pair %d trace", pi), pi)
+					continue
 				}
 				for k := range want {
 					worstTrace = max(worstTrace, math.Abs(got[pi][k]-want[k])/want[0])
@@ -276,7 +292,7 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 				worstAns = max(worstAns, math.Abs(got-want)/max(math.Abs(want), 1e-3))
 			}
 			// pairCheck compares one 2-D answer; false when its pair is
-			// unstable and the comparison was skipped.
+			// exempt and the comparison was skipped.
 			pairCheck := func(what string, a, b int, pa, pb query.Pred) bool {
 				t.Helper()
 				pi, err := mech.PairIndex(cfg.d, a, b)
@@ -294,7 +310,12 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("%s pair2D %v %v", what, pa, pb), got, want)
+				what = fmt.Sprintf("%s pair2D %v %v", what, pa, pb)
+				if !within(got, want) && ref.unstablePair2D(t, a, b, pa, pb, want) {
+					exempt(what, pi)
+					return false
+				}
+				check(what, got, want)
 				return true
 			}
 			rng := ldprand.New(uint64(300 + ci))
@@ -325,7 +346,11 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if lambda > 2 {
+					got, err := est.Answer(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !within(got, want) && lambda > 2 {
 						ill, err := ref.unstableAlg2(q, want)
 						if err != nil {
 							t.Fatal(err)
@@ -338,10 +363,6 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 							continue
 						}
 					}
-					got, err := est.Answer(q)
-					if err != nil {
-						t.Fatal(err)
-					}
 					check(fmt.Sprintf("query %v", q), got, want)
 				}
 			}
@@ -349,4 +370,8 @@ func TestHDGAtomGridMatchesCxC(t *testing.T) {
 	}
 	t.Logf("%d configurations: worst answer error %.2g relative (to at least 1e-3), worst trace error %.2g of the first sweep's change; exempt as unstable: %d IHDG pairs, %d IHDG λ-D queries",
 		len(configs), worstAns, worstTrace, unstable1, unstable2)
+	if unstable1 > maxUnstablePairs || unstable2 > maxUnstableQueries {
+		t.Errorf("exempt as unstable: %d pairs (at most %d), %d λ-D queries (at most %d)",
+			unstable1, maxUnstablePairs, unstable2, maxUnstableQueries)
+	}
 }

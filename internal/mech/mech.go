@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"privmdr/internal/dataset"
 	"privmdr/internal/query"
@@ -23,9 +22,9 @@ type Estimator interface {
 }
 
 // BatchEstimator is an Estimator that also answers whole workloads. Every
-// mechanism in this module implements it through AnswerQueries, which
-// returns exactly the answers sequential Answer calls would produce, in
-// workload order.
+// mechanism in this module implements it: AnswerBatch runs the queries on a
+// bounded worker pool and returns exactly the answers sequential Answer
+// calls would produce, in workload order.
 type BatchEstimator interface {
 	Estimator
 	AnswerBatch(qs []query.Query) ([]float64, error)
@@ -44,42 +43,30 @@ func (f EstimatorFunc) AnswerBatch(qs []query.Query) ([]float64, error) {
 	return AnswerQueries(f, qs)
 }
 
-// inlineBudget is how long AnswerQueries answers a batch on the calling
-// goroutine before it fans the rest out. Starting and joining workers costs
-// about 10 µs, more than a batch of cheap queries takes, and on a busy
-// process each worker is one more goroutine waiting for a CPU.
-const inlineBudget = 50 * time.Microsecond
-
-// AnswerQueries answers a workload and is the shared implementation behind
-// every AnswerBatch. It answers on the calling goroutine for up to
-// inlineBudget, then spreads what is left over a bounded worker pool (at
-// most GOMAXPROCS goroutines). Queries are answered independently and
-// written to their own output slot, so the result is identical to
-// sequential Answer calls; on failure the error of the lowest-indexed
-// failing query is returned, again matching the sequential behavior. est
-// must be safe for concurrent Answer — every estimator finalized by this
-// module is.
+// AnswerQueries answers a workload on a bounded worker pool (at most
+// GOMAXPROCS goroutines) and is the shared implementation behind every
+// AnswerBatch. Queries are answered independently and written to their own
+// output slot, so the result is identical to sequential Answer calls; on
+// failure the error of the lowest-indexed failing query is returned, again
+// matching the sequential behavior. est must be safe for concurrent Answer —
+// every estimator finalized by this module is.
 func AnswerQueries(est Estimator, qs []query.Query) ([]float64, error) {
 	out := make([]float64, len(qs))
-	procs := runtime.GOMAXPROCS(0)
-	start := time.Now()
-	done := 0
-	for ; done < len(qs); done++ {
-		if procs > 1 && done < len(qs)-1 && time.Since(start) >= inlineBudget {
-			break
-		}
-		a, err := est.Answer(qs[done])
-		if err != nil {
-			return nil, err
-		}
-		out[done] = a
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(qs) {
+		workers = len(qs)
 	}
-	rest := qs[done:]
-	if len(rest) == 0 {
+	if workers <= 1 {
+		for i, q := range qs {
+			a, err := est.Answer(q)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = a
+		}
 		return out, nil
 	}
-	workers := min(procs, len(rest))
-	errs := make([]error, len(rest))
+	errs := make([]error, len(qs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -88,10 +75,10 @@ func AnswerQueries(est Estimator, qs []query.Query) ([]float64, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(rest) {
+				if i >= len(qs) {
 					return
 				}
-				out[done+i], errs[i] = est.Answer(rest[i])
+				out[i], errs[i] = est.Answer(qs[i])
 			}
 		}()
 	}

@@ -1,11 +1,7 @@
 package mech
 
 import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"privmdr/internal/query"
 )
@@ -41,52 +37,5 @@ func TestEstimatorFunc(t *testing.T) {
 	got, err := e.Answer(query.Query{{Attr: 0, Lo: 0, Hi: 1}})
 	if err != nil || got != 0.5 {
 		t.Errorf("EstimatorFunc broken: %g, %v", got, err)
-	}
-}
-
-// TestAnswerQueriesFansOutPastBudget pins both halves of AnswerQueries: a
-// batch that outlasts inlineBudget spreads its remaining queries over
-// concurrent workers, and the answers and the reported error (the
-// lowest-indexed failure) stay those of sequential Answer calls.
-func TestAnswerQueriesFansOutPastBudget(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs GOMAXPROCS ≥ 2 to fan out")
-	}
-	var inFlight, peak atomic.Int32
-	est := EstimatorFunc(func(q query.Query) (float64, error) {
-		n := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		i := q[0].Lo
-		if i == 0 {
-			time.Sleep(2 * inlineBudget) // spends the inline budget
-		} else {
-			time.Sleep(time.Millisecond)
-		}
-		if q[0].Attr < 0 {
-			return 0, fmt.Errorf("query %d failed", i)
-		}
-		return float64(i), nil
-	})
-	qs := make([]query.Query, 12)
-	for i := range qs {
-		qs[i] = query.Query{{Attr: 0, Lo: i, Hi: i}}
-	}
-	out, err := AnswerQueries(est, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range out {
-		if a != float64(i) {
-			t.Fatalf("answer %d = %g", i, a)
-		}
-	}
-	if peak.Load() < 2 {
-		t.Fatalf("at most %d queries in flight, want the batch fanned out", peak.Load())
-	}
-	qs[5][0].Attr, qs[9][0].Attr = -1, -1
-	if _, err := AnswerQueries(est, qs); err == nil || err.Error() != "query 5 failed" {
-		t.Fatalf("error %v, want the lowest-indexed failure (query 5)", err)
 	}
 }

@@ -358,9 +358,8 @@ func TrueAnswers(ds *Dataset, qs []Query) []float64 {
 	return query.TrueAnswers(ds, qs)
 }
 
-// AnswerBatch evaluates a workload, on the calling goroutine for its first
-// 50 µs and then on a bounded worker pool (at most GOMAXPROCS goroutines),
-// and returns the answers in workload order —
+// AnswerBatch evaluates a workload on a bounded worker pool (at most
+// GOMAXPROCS goroutines) and returns the answers in workload order —
 // identical to sequential Answer calls, including which error is reported
 // on failure. Estimators from this package parallelize; an unknown
 // third-party Estimator that does not implement BatchEstimator is answered

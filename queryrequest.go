@@ -25,17 +25,27 @@ func (r *QueryRequest) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*queryRequestJSON)(r))
 }
 
+// Shortest canonical predicate, {"attr":0,"lo":0,"hi":0}, and shortest
+// non-empty query, [{…}]: the byte lengths that bound the presized capacities
+// in decodeQueryBatch.
+const (
+	minPredBytes  = 24
+	minQueryBytes = minPredBytes + 2
+)
+
 // decodeQueryBatch is the fast path of QueryRequest.UnmarshalJSON; ok is
 // false for any input outside the canonical shape. The predicates share one
-// backing array, sized by counting '{', and each query is capped to its own
-// span so an append to one cannot overwrite the next.
+// backing array, and each query is capped to its own span so an append to
+// one cannot overwrite the next. Both slices are presized by counting '{'
+// and '[', but never past what a canonical body of len(data) bytes can
+// hold, so a body of bare brackets allocates no more than its own size.
 func decodeQueryBatch(data []byte) (qs []Query, ok bool) {
 	s := jsonScanner{b: data}
 	if !s.lit('{') || !s.key("queries") || !s.lit('[') {
 		return nil, false
 	}
-	preds := make([]Pred, 0, max(bytes.Count(data, []byte{'{'})-1, 0))
-	qs = make([]Query, 0, max(bytes.Count(data, []byte{'['})-1, 0))
+	preds := make([]Pred, 0, min(bytes.Count(data, []byte{'{'})-1, len(data)/minPredBytes))
+	qs = make([]Query, 0, min(bytes.Count(data, []byte{'['})-1, len(data)/minQueryBytes))
 	for !s.lit(']') {
 		if len(qs) > 0 && !s.lit(',') || !s.lit('[') {
 			return nil, false

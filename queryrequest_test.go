@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"privmdr"
@@ -125,6 +126,27 @@ func TestQueryRequestFastPathCoverage(t *testing.T) {
 	} {
 		if _, ok := privmdr.DecodeQueryBatch([]byte(s)); ok {
 			t.Errorf("fast path accepted %q", s)
+		}
+	}
+}
+
+// TestQueryRequestBracketFlood keeps the decoder's memory proportional to
+// the body: a body that opens like a batch and then floods '{' or '[' must
+// be rejected without allocating more than a small multiple of its own size.
+func TestQueryRequestBracketFlood(t *testing.T) {
+	for _, flood := range []byte{'{', '['} {
+		body := append([]byte(`{"queries":[`), bytes.Repeat([]byte{flood}, 1<<20)...)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var req privmdr.QueryRequest
+		err := req.UnmarshalJSON(body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q flood accepted", flood)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(body)) {
+			t.Errorf("%q flood of %d bytes allocated %d bytes", flood, len(body), alloc)
 		}
 	}
 }
