@@ -28,12 +28,12 @@
 //     collector state non-destructively, stamps it with the next epoch
 //     number, and fans it out to every configured query replica.
 //
-//   - Query replicas (NewReplica) are stateless: they hold no collector,
-//     only the latest installed epoch estimator in an atomic pointer —
-//     exactly the live QueryServer's serving model. POST /v1/{tenant}/epoch
+//   - Query replicas (NewReplica) are stateless: they ingest nothing and
+//     hold only the latest installed epoch in an atomic pointer, as a
+//     finalized QueryServer over the sealed state. POST /v1/{tenant}/epoch
 //     installs a sealed epoch (older epochs are rejected, so fan-outs may
-//     race or repeat freely); POST /v1/{tenant}/query answers from the
-//     current epoch on AnswerBatch's worker pool.
+//     race or repeat freely); POST /v1/{tenant}/query is the current
+//     epoch's QueryServer /query handler.
 //
 // NewTenantServer is the degenerate single-node topology: one process
 // hosting N independent live QueryServers behind the same /v1/{tenant}/...

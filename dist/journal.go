@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"privmdr/internal/atomicfile"
 )
 
 // This file is the aggregator's durability layer: a per-tenant write-ahead
@@ -195,7 +197,7 @@ func (j *journal) CompactTo(off int64) error {
 		nf.Close()
 		return err
 	}
-	syncDir(filepath.Dir(j.path))
+	atomicfile.SyncDir(filepath.Dir(j.path))
 	j.f.Close()
 	j.f = nf
 	j.size = int64(len(tail))
@@ -231,15 +233,6 @@ func (j *journal) Close() error {
 	defer j.mu.Unlock()
 	_ = j.f.Sync()
 	return j.f.Close()
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable; best-effort
-// (some filesystems refuse directory fsyncs).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }
 
 // ── Aggregator snapshot ("PMAS") ─────────────────────────────────────────
@@ -414,27 +407,9 @@ func (s *tenantStore) Offset() int64 { return s.j.Size() }
 // journal not yet compacted, replaying covered records is a sequencing
 // no-op (their seqs are at or below the snapshot cursors).
 func (s *tenantStore) Compact(snap aggSnapshot, off int64) error {
-	path := filepath.Join(s.dir, "snapshot.pmas")
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := atomicfile.WriteFile(filepath.Join(s.dir, "snapshot.pmas"), snap.encode(), 0o644); err != nil {
 		return err
 	}
-	if _, err := f.Write(snap.encode()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(s.dir)
 	return s.j.CompactTo(off)
 }
 

@@ -95,6 +95,25 @@ func TestQueryBodyStatusParity(t *testing.T) {
 	}
 }
 
+// TestReplicaQueryBeforeInstall pins that a replica with no installed
+// epoch answers every /query with 503, whatever the body: the body is only
+// decoded by the installed epoch's QueryServer.
+func TestReplicaQueryBeforeInstall(t *testing.T) {
+	p := privmdr.Params{N: 400, D: 3, C: 16, Eps: 1.0, Seed: 210}
+	topo := &Topology{Tenants: []TenantConfig{{Name: "census", Mechanism: "HDG", Params: p}}}
+	rep, err := NewReplica(topo, ReplicaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(rep)
+	t.Cleanup(replica.Close)
+	for _, body := range []string{`{"queries":[[{"attr":0,"lo":1,"hi":9}]]}`, `{"queries":[`} {
+		if code, msg := postBytes(t, replica.URL+"/v1/census/query", "application/json", []byte(body)); code != http.StatusServiceUnavailable {
+			t.Errorf("%s before the first install: %d %s, want 503", body, code, msg)
+		}
+	}
+}
+
 func text(s string) func() io.Reader {
 	return func() io.Reader { return strings.NewReader(s) }
 }

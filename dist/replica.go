@@ -12,20 +12,21 @@ import (
 	"privmdr"
 )
 
-// Replica is the stateless query-serving role: it holds no collector of its
-// own, only the latest installed epoch estimator per tenant behind an atomic
-// pointer — the live QueryServer's serving model with ingestion moved
-// upstream. The aggregator pushes sealed epochs in; queries read whatever
-// epoch is current, so installs never block the query path. Endpoints per
-// tenant:
+// Replica is the stateless query-serving role: it ingests nothing itself,
+// and holds only the latest installed epoch per tenant behind an atomic
+// pointer. Each epoch is a finalized QueryServer over the sealed state, so
+// a replica answers /query with the single-node server's own handler —
+// ingestion is just moved upstream. The aggregator pushes sealed epochs
+// in; queries read whatever epoch is current, so installs never block the
+// query path. Endpoints per tenant:
 //
 //	POST /v1/{tenant}/epoch   — install a sealed epoch snapshot
 //	                            (EncodeSnapshot bytes); epochs must be
 //	                            strictly newer than the serving one, so
 //	                            repeated or racing fan-outs are harmless
 //	POST /v1/{tenant}/query   — QueryRequest JSON → QueryResponse JSON,
-//	                            answered from the serving epoch (503 until
-//	                            the first install)
+//	                            answered from the serving epoch (503 for
+//	                            any body until the first install)
 //	GET  /v1/{tenant}/params  — public deployment parameters
 //	GET  /v1/{tenant}/healthz — ReplicaStatus
 type Replica struct {
@@ -70,12 +71,13 @@ type replicaTenant struct {
 	lastPullErr atomic.Pointer[string]
 }
 
-// replicaEpoch is one installed epoch: the warmed immutable estimator and
-// its provenance.
+// replicaEpoch is one installed epoch: a finalized QueryServer holding the
+// warmed estimator, its /query route under the tenant prefix, and the
+// aggregator's epoch number.
 type replicaEpoch struct {
-	est     privmdr.Estimator
-	epoch   uint64
-	reports int
+	qs    *privmdr.QueryServer
+	query http.Handler
+	epoch uint64
 }
 
 // ReplicaStatus is one tenant's GET /healthz reply on a replica.
@@ -215,32 +217,29 @@ func (rep *Replica) catchUpTenant(ctx context.Context, t *replicaTenant) error {
 	return nil
 }
 
-// install builds and publishes the epoch's estimator: a fresh collector,
-// one Merge of the sealed state, Estimate, and an eager warm-up so the
-// first query pays nothing — the exact rebuild a live QueryServer's
-// refresher performs, which is what keeps replica answers bit-identical to
-// the monolithic server over the same report multiset.
+// install builds and publishes the epoch's estimator: a fresh
+// finalize-once QueryServer, one Merge of the sealed state, and Finalize,
+// which warms the estimator so the first query pays nothing. The estimate
+// is a pure function of the merged counts, which is what keeps replica
+// answers bit-identical to the monolithic server over the same report
+// multiset.
 func (t *replicaTenant) install(st privmdr.CollectorState, epoch uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cur := t.cur.Load(); cur != nil && epoch <= cur.epoch {
 		return fmt.Errorf("dist: pushed epoch %d, serving epoch %d: %w", epoch, cur.epoch, ErrStaleEpoch)
 	}
-	coll, err := t.proto.NewCollector()
+	qs, err := privmdr.NewQueryServer(t.proto)
 	if err != nil {
 		return err
 	}
-	if err := coll.(privmdr.StatefulCollector).Merge(st); err != nil {
+	if err := qs.Merge(st); err != nil {
 		return err
 	}
-	est, err := coll.Estimate()
-	if err != nil {
+	if _, err := qs.Finalize(); err != nil {
 		return err
 	}
-	if err := privmdr.WarmEstimator(est); err != nil {
-		return err
-	}
-	t.cur.Store(&replicaEpoch{est: est, epoch: epoch, reports: st.Received()})
+	t.cur.Store(&replicaEpoch{qs: qs, query: http.StripPrefix("/v1/"+t.name, qs), epoch: epoch})
 	return nil
 }
 
@@ -292,39 +291,13 @@ func (rep *Replica) handleQuery(w http.ResponseWriter, r *http.Request) {
 		unknownTenant(w, name)
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	var req privmdr.QueryRequest
-	if err := req.UnmarshalJSON(body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("dist: query body: %w", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("dist: empty query batch"))
-		return
-	}
-	p := t.proto.Params()
-	for i, q := range req.Queries {
-		if err := q.Validate(p.D, p.C); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("dist: query %d: %w", i, err))
-			return
-		}
-	}
 	ep := t.cur.Load()
 	if ep == nil {
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("dist: no epoch installed yet; waiting for the aggregator's first seal"))
 		return
 	}
-	answers, err := privmdr.AnswerBatch(ep.est, req.Queries)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, privmdr.QueryResponse{Answers: answers})
+	ep.query.ServeHTTP(w, r)
 }
 
 func (rep *Replica) handleParams(w http.ResponseWriter, r *http.Request) {
@@ -348,7 +321,7 @@ func (rep *Replica) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if ep := t.cur.Load(); ep != nil {
 		status.Serving = true
 		status.Epoch = ep.epoch
-		status.EstimatorReports = ep.reports
+		status.EstimatorReports = ep.qs.Status().EstimatorReports
 	}
 	if msg := t.lastPullErr.Load(); msg != nil {
 		status.LastCatchUpError = *msg

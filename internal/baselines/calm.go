@@ -123,43 +123,13 @@ func (pr *calmProtocol) NewCollector() (mech.Collector, error) {
 	for g := range specs {
 		specs[g] = spec
 	}
-	ing, err := mech.NewCountIngest(pr, mech.OracleCheck(pr.oracle), specs)
-	if err != nil {
-		return nil, err
-	}
-	return &calmCollector{CountIngest: ing, pr: pr, folder: folder}, nil
-}
-
-// calmCollector is the aggregator side of a CALM deployment.
-type calmCollector struct {
-	*mech.CountIngest
-	pr     *calmProtocol
-	folder *fo.Folder
-}
-
-// Estimate implements mech.Collector: estimate from a point-in-time
-// snapshot of the live statistics, leaving ingestion open.
-func (c *calmCollector) Estimate() (mech.Estimator, error) {
-	byGroup, err := c.SnapshotCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
-}
-
-// Finalize implements mech.Collector: Estimate over everything received,
-// then close ingestion permanently.
-func (c *calmCollector) Finalize() (mech.Estimator, error) {
-	byGroup, err := c.DrainCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
+	return mech.NewCountCollector(pr, mech.OracleCheck(pr.oracle), specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
+		return pr.estimate(folder, byGroup)
+	})
 }
 
 // estimate turns one snapshot of per-group statistics into the estimator.
-func (c *calmCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	pr := c.pr
+func (pr *calmProtocol) estimate(folder *fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, n, cc := pr.p.D, pr.p.N, pr.p.C
 	pairs := pr.pairs
 	// Full-resolution marginals are grids with granularity c.
@@ -169,7 +139,7 @@ func (c *calmCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, er
 		if err != nil {
 			return nil, err
 		}
-		copy(g.Freq, c.folder.Estimate(byGroup[pi].Counts, int(byGroup[pi].N)))
+		copy(g.Freq, folder.Estimate(byGroup[pi].Counts, int(byGroup[pi].N)))
 		marginals[pi] = g
 	}
 

@@ -226,47 +226,13 @@ func (pr *hioProtocol) NewCollector() (mech.Collector, error) {
 		}
 		specs[g] = mech.FolderSpec(f)
 	}
-	ci, err := mech.NewCountIngest(pr, check, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &hioCollector{CountIngest: ci, pr: pr}, nil
-}
-
-// hioCollector is the aggregator side of an HIO deployment.
-type hioCollector struct {
-	*mech.CountIngest
-	pr *hioProtocol
-}
-
-// Estimate implements mech.Collector: build an estimator over a
-// point-in-time snapshot of the folded statistics, leaving ingestion open.
-// The snapshot costs O(stripes × groups × domain) — flat in n — and so does
-// every query answered against it; the old report-store estimator paid
-// O(n_g) per first touch of an interval.
-func (c *hioCollector) Estimate() (mech.Estimator, error) {
-	byGroup, err := c.SnapshotCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
-}
-
-// Finalize implements mech.Collector: Estimate over everything received,
-// then close ingestion permanently.
-func (c *hioCollector) Finalize() (mech.Estimator, error) {
-	byGroup, err := c.DrainCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
+	return mech.NewCountCollector(pr, check, specs, pr.estimate)
 }
 
 // estimate builds the lazy estimator over the snapshotted statistics:
 // streamed groups carry their folded support vectors, retained groups their
-// raw reports.
-func (c *hioCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	pr := c.pr
+// raw reports. A query costs O(1) per streamed interval, flat in n.
+func (pr *hioProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	counts := make([][]int64, len(byGroup))
 	ns := make([]int, len(byGroup))
 	var retained [][]fo.Report

@@ -198,46 +198,16 @@ func (pr *lhioProtocol) NewCollector() (mech.Collector, error) {
 		// (root, root) groups keep the zero spec: their reports are empty,
 		// only the tally matters.
 	}
-	ci, err := mech.NewCountIngest(pr, check, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &lhioCollector{CountIngest: ci, pr: pr, folders: folders}, nil
-}
-
-// lhioCollector is the aggregator side of an LHIO deployment.
-type lhioCollector struct {
-	*mech.CountIngest
-	pr      *lhioProtocol
-	folders []*fo.Folder // indexed like pr.oracles; nil for (root, root)
-}
-
-// Estimate implements mech.Collector: estimate over a point-in-time
-// snapshot of the folded statistics, leaving ingestion open. The cost is
-// O(groups × domain) — flat in n — where the old report-store path rescanned
-// every group's reports per refresh.
-func (c *lhioCollector) Estimate() (mech.Estimator, error) {
-	byGroup, err := c.SnapshotCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
-}
-
-// Finalize implements mech.Collector: Estimate over everything received,
-// then close ingestion permanently.
-func (c *lhioCollector) Finalize() (mech.Estimator, error) {
-	byGroup, err := c.DrainCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
+	return mech.NewCountCollector(pr, check, specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
+		return pr.estimate(folders, byGroup)
+	})
 }
 
 // estimate estimates every level table from one snapshot of the folded
-// statistics, then runs the two consistency stages.
-func (c *lhioCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	pr := c.pr
+// statistics, then runs the two consistency stages. folders is indexed like
+// pr.oracles (nil for (root, root)). The cost is O(groups × domain), flat
+// in n.
+func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, n := pr.p.D, pr.p.N
 	tree, levels, pairs := pr.tree, pr.levels, pr.pairs
 
@@ -256,7 +226,7 @@ func (c *lhioCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, er
 				continue
 			}
 			gc := &byGroup[pi*levels*levels+ti]
-			freq[pi][ti] = c.folders[ti].Estimate(gc.Counts, int(gc.N))
+			freq[pi][ti] = folders[ti].Estimate(gc.Counts, int(gc.N))
 			variance[pi][ti] = oracle.Var(int(gc.N))
 		}
 	}

@@ -117,43 +117,12 @@ func (pr *mswProtocol) NewCollector() (mech.Collector, error) {
 	for g := range specs {
 		specs[g] = spec
 	}
-	ing, err := mech.NewCountIngest(pr, check, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &mswCollector{CountIngest: ing, pr: pr}, nil
-}
-
-// mswCollector is the aggregator side of an MSW deployment.
-type mswCollector struct {
-	*mech.CountIngest
-	pr *mswProtocol
-}
-
-// Estimate implements mech.Collector: estimate from a point-in-time
-// snapshot of the live bucket histograms, leaving ingestion open.
-func (c *mswCollector) Estimate() (mech.Estimator, error) {
-	byGroup, err := c.SnapshotCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
-}
-
-// Finalize implements mech.Collector: Estimate over everything received,
-// then close ingestion permanently.
-func (c *mswCollector) Finalize() (mech.Estimator, error) {
-	byGroup, err := c.DrainCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
+	return mech.NewCountCollector(pr, check, specs, pr.estimate)
 }
 
 // estimate runs EM(S) over each attribute's streamed bucket histogram and
 // answers queries as products of 1-D range answers.
-func (c *mswCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	pr := c.pr
+func (pr *mswProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, cc := pr.p.D, pr.p.C
 	// cdf[a] holds the prefix sums of attribute a's reconstructed
 	// distribution, so a 1-D range answer is one subtraction.

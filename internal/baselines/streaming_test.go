@@ -393,10 +393,10 @@ func TestHIOCappedStreamingMatchesReportPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coll.(*hioCollector).SubmitBatch(reports); err != nil {
+	if err := coll.(mech.StatefulCollector).SubmitBatch(reports); err != nil {
 		t.Fatal(err)
 	}
-	st, err := coll.(*hioCollector).State()
+	st, err := coll.(mech.StatefulCollector).State()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,43 +83,18 @@ func (pr *uniProtocol) NewCollector() (mech.Collector, error) {
 		}
 		return nil
 	}
-	ing, err := mech.NewCountIngest(pr, check, []mech.GroupSpec{{}})
-	if err != nil {
-		return nil, err
-	}
-	return &uniCollector{CountIngest: ing, pr: pr}, nil
+	return mech.NewCountCollector(pr, check, []mech.GroupSpec{{}}, pr.estimate)
 }
 
-// uniCollector discards its reports: the uniform guess needs none of them.
-type uniCollector struct {
-	*mech.CountIngest
-	pr *uniProtocol
-}
-
-// Estimate implements mech.Collector. The uniform guess reads no report
-// state, but the lifecycle contract still holds: estimating a finalized
-// collector is an error.
-func (c *uniCollector) Estimate() (mech.Estimator, error) {
-	if _, err := c.SnapshotCounts(); err != nil {
-		return nil, err
-	}
-	return c.estimate(), nil
-}
-
-// Finalize implements mech.Collector.
-func (c *uniCollector) Finalize() (mech.Estimator, error) {
-	if _, err := c.DrainCounts(); err != nil {
-		return nil, err
-	}
-	return c.estimate(), nil
-}
-
-func (c *uniCollector) estimate() mech.Estimator {
-	d, cc := c.pr.p.D, c.pr.p.C
+// estimate is the uniform guess: it reads none of the statistics. The
+// collector still snapshots or drains before calling it, so estimating a
+// finalized Uni collector is an error like everywhere else.
+func (pr *uniProtocol) estimate([]mech.GroupCounts) (mech.Estimator, error) {
+	d, cc := pr.p.D, pr.p.C
 	return mech.EstimatorFunc(func(q query.Query) (float64, error) {
 		if err := q.Validate(d, cc); err != nil {
 			return 0, err
 		}
 		return q.Volume(cc), nil
-	})
+	}), nil
 }

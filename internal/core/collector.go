@@ -198,51 +198,20 @@ func (pr *hdgProtocol) NewCollector() (mech.Collector, error) {
 			specs[g] = spec2
 		}
 	}
-	ing, err := mech.NewCountIngest(pr, check, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &hdgCollector{CountIngest: ing, pr: pr, f1: f1, f2: f2}, nil
-}
-
-// hdgCollector is the aggregator side of an HDG deployment.
-type hdgCollector struct {
-	*mech.CountIngest
-	pr     *hdgProtocol
-	f1, f2 *fo.Folder
-}
-
-// Estimate implements mech.Collector: post-process a point-in-time snapshot
-// of the live statistics into an estimator, leaving ingestion open — the
-// epoch-serving path.
-func (c *hdgCollector) Estimate() (mech.Estimator, error) {
-	byGroup, err := c.SnapshotCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
-}
-
-// Finalize implements mech.Collector: Estimate over everything received,
-// then close ingestion permanently.
-func (c *hdgCollector) Finalize() (mech.Estimator, error) {
-	byGroup, err := c.DrainCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
+	return mech.NewCountCollector(pr, check, specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
+		return pr.estimate(f1, f2, byGroup)
+	})
 }
 
 // estimate turns one snapshot of per-group statistics into the query-time
-// estimator: estimate every grid from its group's folded statistic,
-// post-process, and wrap. The estimates are bit-identical to the former
-// report-multiset path (EstimateAll over the group's reports) because the
-// folded counts are the exact integers that scan would tally — and because
-// the whole pipeline is a pure function of the counts, an Estimate over a
-// report prefix matches a one-shot Finalize over the same prefix bit for
-// bit.
-func (c *hdgCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	pr := c.pr
+// estimator: estimate every grid from its group's folded statistic (f1 for
+// the 1-D groups, f2 for the 2-D ones), post-process, and wrap. The
+// estimates are bit-identical to the former report-multiset path
+// (EstimateAll over the group's reports) because the folded counts are the
+// exact integers that scan would tally — and because the whole pipeline is
+// a pure function of the counts, an Estimate over a report prefix matches a
+// one-shot Finalize over the same prefix bit for bit.
+func (pr *hdgProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, cc := pr.p.D, pr.p.C
 	grids1 := make([]*grid.Grid1D, d)
 	for a := 0; a < d; a++ {
@@ -250,7 +219,7 @@ func (c *hdgCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, err
 		if err != nil {
 			return nil, err
 		}
-		copy(g.Freq, c.f1.Estimate(byGroup[a].Counts, int(byGroup[a].N)))
+		copy(g.Freq, f1.Estimate(byGroup[a].Counts, int(byGroup[a].N)))
 		grids1[a] = g
 	}
 	grids2 := make([]*grid.Grid2D, len(pr.pairs))
@@ -259,7 +228,7 @@ func (c *hdgCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, err
 		if err != nil {
 			return nil, err
 		}
-		copy(g.Freq, c.f2.Estimate(byGroup[d+pi].Counts, int(byGroup[d+pi].N)))
+		copy(g.Freq, f2.Estimate(byGroup[d+pi].Counts, int(byGroup[d+pi].N)))
 		grids2[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {

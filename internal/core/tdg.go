@@ -190,50 +190,20 @@ func (pr *tdgProtocol) NewCollector() (mech.Collector, error) {
 	for g := range specs {
 		specs[g] = spec
 	}
-	ing, err := mech.NewCountIngest(pr, mech.OracleCheck(pr.o2), specs)
-	if err != nil {
-		return nil, err
-	}
-	return &tdgCollector{CountIngest: ing, pr: pr, f2: f2}, nil
-}
-
-// tdgCollector is the aggregator side of a TDG deployment.
-type tdgCollector struct {
-	*mech.CountIngest
-	pr *tdgProtocol
-	f2 *fo.Folder
-}
-
-// Estimate implements mech.Collector: estimate from a point-in-time
-// snapshot of the live statistics, leaving ingestion open.
-func (c *tdgCollector) Estimate() (mech.Estimator, error) {
-	byGroup, err := c.SnapshotCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
-}
-
-// Finalize implements mech.Collector: Estimate over everything received,
-// then close ingestion permanently.
-func (c *tdgCollector) Finalize() (mech.Estimator, error) {
-	byGroup, err := c.DrainCounts()
-	if err != nil {
-		return nil, err
-	}
-	return c.estimate(byGroup)
+	return mech.NewCountCollector(pr, mech.OracleCheck(pr.o2), specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
+		return pr.estimate(f2, byGroup)
+	})
 }
 
 // estimate turns one snapshot of per-group statistics into the estimator.
-func (c *tdgCollector) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	pr := c.pr
+func (pr *tdgProtocol) estimate(f2 *fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	grids := make([]*grid.Grid2D, len(pr.pairs))
 	for pi := range pr.pairs {
 		g, err := grid.NewGrid2D(pr.p.C, pr.g2)
 		if err != nil {
 			return nil, err
 		}
-		copy(g.Freq, c.f2.Estimate(byGroup[pi].Counts, int(byGroup[pi].N)))
+		copy(g.Freq, f2.Estimate(byGroup[pi].Counts, int(byGroup[pi].N)))
 		grids[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {

@@ -34,15 +34,16 @@ import (
 // integer adds, so any assignment of reports to stripes sums to the same
 // totals.
 //
-// Every mechanism embeds CountIngest (HIO and LHIO since the hierarchy
-// streamification; their per-level interval domains are enumerable after
-// all). A group may instead be marked Retain — HIO's escape hatch for level
-// vectors whose product domain exceeds its streaming cap — in which case
-// its raw reports are kept in a single append-only store beside the
-// stripes. CountIngest exports a v2 (count) state, or a v3 (hybrid) state
-// when any group retains, and additionally accepts v1 (report) states by
-// replaying each report through its group's fold (or appending it to a
-// retained group), so pre-streaming snapshots still warm-restart.
+// Every mechanism's collector wraps CountIngest via NewCountCollector (HIO
+// and LHIO since the hierarchy streamification; their per-level interval
+// domains are enumerable after all). A group may instead be marked Retain —
+// HIO's escape hatch for level vectors whose product domain exceeds its
+// streaming cap — in which case its raw reports are kept in a single
+// append-only store beside the stripes. CountIngest exports a v2 (count)
+// state, or a v3 (hybrid) state when any group retains, and additionally
+// accepts v1 (report) states by replaying each report through its group's
+// fold (or appending it to a retained group), so pre-streaming snapshots
+// still warm-restart.
 type CountIngest struct {
 	check    func(Report) error
 	mechName string
@@ -227,6 +228,47 @@ func newCountIngestStripes(pr Protocol, check func(Report) error, specs []GroupS
 		return &batchScratch{stripe: int(ci.nextStripe.Add(1)-1) % len(ci.stripes)}
 	}
 	return ci, nil
+}
+
+// countCollector is the Collector every protocol in this module returns: a
+// CountIngest finished by the protocol's estimate function.
+type countCollector struct {
+	*CountIngest
+	estimate func([]GroupCounts) (Estimator, error)
+}
+
+// NewCountCollector builds pr's collector: NewCountIngest over check and
+// specs, whose Estimate runs estimate over a snapshot of the per-group
+// statistics and whose Finalize runs it over the drained ones. Neither is
+// written again, so the estimator may keep them. Because estimate sees only
+// counts, an Estimate over a report prefix is bit-identical to a Finalize
+// of a fresh collector fed that prefix; because both snapshot or drain
+// first, even a count-free estimate (Uni) fails on a finalized collector.
+func NewCountCollector(pr Protocol, check func(Report) error, specs []GroupSpec,
+	estimate func([]GroupCounts) (Estimator, error)) (Collector, error) {
+	ci, err := NewCountIngest(pr, check, specs)
+	if err != nil {
+		return nil, err
+	}
+	return &countCollector{CountIngest: ci, estimate: estimate}, nil
+}
+
+// Estimate implements Collector, leaving ingestion open.
+func (c *countCollector) Estimate() (Estimator, error) {
+	byGroup, err := c.SnapshotCounts()
+	if err != nil {
+		return nil, err
+	}
+	return c.estimate(byGroup)
+}
+
+// Finalize implements Collector, closing ingestion permanently.
+func (c *countCollector) Finalize() (Estimator, error) {
+	byGroup, err := c.DrainCounts()
+	if err != nil {
+		return nil, err
+	}
+	return c.estimate(byGroup)
 }
 
 // retainedOf returns group g's raw report store, or nil when g streams.

@@ -13,12 +13,14 @@ import (
 // also carries the deployment identity, making it a StatefulCollector that
 // exports v1 (report-multiset) states.
 //
-// No production collector embeds it anymore — all 7 mechanisms stream
-// through CountIngest, which folds each report into its group's sufficient
-// statistic and drops it (HIO retains raw reports only for the rare group
-// whose domain exceeds its streaming cap, inside CountIngest). Ingest
-// remains as the report-store baseline the perf harness and the golden
-// bit-identity tests compare the streaming collectors against.
+// No production collector uses it anymore — all 7 mechanisms stream
+// through CountIngest (see NewCountCollector), which folds each report into
+// its group's sufficient statistic and drops it (HIO retains raw reports
+// only for the rare group whose domain exceeds its streaming cap, inside
+// CountIngest). Ingest's only users are its own unit tests and the
+// report-store columns of privmdr-bench -perf. The golden bit-identity
+// tests do not use it: they keep verbatim seed copies of the report-path
+// estimators in internal/{core,baselines}/streaming_test.go.
 type Ingest struct {
 	check    func(Report) error
 	mechName string

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"privmdr/internal/atomicfile"
 	"privmdr/internal/mech"
 )
 
@@ -420,14 +421,15 @@ var snapshotMagic = [4]byte{'P', 'M', 'S', 'S'}
 // snapshotVersion is the wrapper's format version byte.
 const snapshotVersion = 1
 
-// SaveSnapshot persists the current collector state to path (written via a
-// temp file + rename, so a crash mid-write never corrupts the previous
-// snapshot). A live server's snapshot additionally records the serving
-// epoch counter and can be taken at any time — including while queries are
-// being served, since estimation never closes the collector. The snapshot
-// is an aggregate of sanitized ε-LDP reports (count vectors for streaming
-// mechanisms, report multisets for the rest) — storing it adds no privacy
-// cost.
+// SaveSnapshot persists the current collector state to path. The write is
+// crash-safe: a temp file is written and fsynced, renamed into place, and
+// the directory fsynced, so even a power loss leaves either the previous
+// snapshot or the complete new one. A live server's snapshot additionally
+// records the serving epoch counter and can be taken at any time —
+// including while queries are being served, since estimation never closes
+// the collector. The snapshot is an aggregate of sanitized ε-LDP reports
+// (count vectors for streaming mechanisms, report multisets for the rest)
+// — storing it adds no privacy cost.
 func (s *QueryServer) SaveSnapshot(path string) error {
 	st, err := s.State()
 	if err != nil {
@@ -442,11 +444,7 @@ func (s *QueryServer) SaveSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.WriteFile(path, data, 0o644)
 }
 
 // encodeSnapshot wraps a collector state in the epoch-stamped snapshot
@@ -614,15 +612,36 @@ func (s *QueryServer) handleParams(w http.ResponseWriter, r *http.Request) {
 // reportFrame holds one POST /reports handler's reusable buffers: the raw
 // body bytes and the decoded batch. Frames cycle through framePool so the
 // ingestion hot path performs no per-request decode allocations once the
-// pool is warm — SubmitBatch copies (report stores) or folds (streaming
-// collectors) every report before returning, so recycling the batch slice
-// behind it is safe.
+// pool is warm — SubmitBatch folds every report into the collector's counts
+// (or, for HIO's retained groups, copies it) before returning, so recycling
+// the batch slice behind it is safe.
 type reportFrame struct {
 	body  []byte
 	batch []Report
 }
 
 var framePool = sync.Pool{New: func() any { return new(reportFrame) }}
+
+// Frame buffers past these caps are dropped instead of pooled: bodies up to
+// maxRequestBody are legal, and one giant frame must not pin its body and
+// decoded batch (24 B per report) in the pool for the life of the process.
+// Typical frames (a few thousand reports) stay far under both caps and keep
+// the warm path allocation-free.
+const (
+	maxPooledFrameBody    = 1 << 20  // bytes
+	maxPooledFrameReports = 64 << 10 // reports
+)
+
+// putFrame returns fr to framePool, releasing oversized buffers first.
+func putFrame(fr *reportFrame) {
+	if cap(fr.body) > maxPooledFrameBody {
+		fr.body = nil
+	}
+	if cap(fr.batch) > maxPooledFrameReports {
+		fr.batch = nil
+	}
+	framePool.Put(fr)
+}
 
 // readBody reads r to EOF into dst, reusing (and growing) its capacity —
 // io.ReadAll without the fresh allocation per call.
@@ -654,7 +673,7 @@ func (s *QueryServer) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fr := framePool.Get().(*reportFrame)
-	defer framePool.Put(fr)
+	defer putFrame(fr)
 	var err error
 	fr.body, err = readBody(http.MaxBytesReader(w, r.Body, s.maxBody), fr.body[:0])
 	if err != nil {

@@ -2,6 +2,10 @@ package privmdr
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"privmdr/internal/mech"
@@ -132,6 +136,64 @@ func TestBatchedIngestZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, submit)
 	if allocs != 0 {
 		t.Errorf("warm batched ingest allocates %g objects/op, want 0", allocs)
+	}
+}
+
+// TestReportFramePoolDropsOversizedFrames posts one oversized frame (a
+// million empty reports, 4 MiB of body and 24 MiB decoded) to a live Uni
+// server, then 500 ordinary frames, and checks the live heap after a GC:
+// the frame pool must not keep the oversized body and batch alive by
+// handing them to every later request.
+func TestReportFramePoolDropsOversizedFrames(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so nothing stays pinned")
+	}
+	proto, err := ProtocolByName("Uni", Params{N: 1, D: 2, C: 4, Eps: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewLiveQueryServer(proto, LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// emptyFrame encodes n empty (Uni) reports without materializing them.
+	emptyFrame := func(n int) []byte {
+		one, err := mech.EncodeReports([]Report{{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one = one[1:] // drop the count prefix (a single byte for 1)
+		return append(binary.AppendUvarint(nil, uint64(n)), bytes.Repeat(one, n)...)
+	}
+	post := func(frame []byte) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reports", bytes.NewReader(frame)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /reports: %d %s", rec.Code, rec.Body)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Two GCs empty the pool of frames earlier tests left in it.
+	runtime.GC()
+	runtime.GC()
+	small := emptyFrame(512)
+	post(small)
+	base := liveHeap()
+	post(emptyFrame(1 << 20))
+	for i := 0; i < 500; i++ {
+		post(small)
+	}
+	if grown := int64(liveHeap()) - int64(base); grown > 8<<20 {
+		t.Errorf("live heap grew %.1f MiB after one oversized frame, want < 8 MiB", float64(grown)/(1<<20))
+	}
+	if got, want := s.Received(), 501*512+1<<20; got != want {
+		t.Fatalf("received %d reports, want %d", got, want)
 	}
 }
 
