@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"privmdr/internal/atomicfile"
+	"privmdr/internal/mech"
 )
 
 // This file is the aggregator's durability layer: a per-tenant write-ahead
@@ -308,7 +309,7 @@ func decodeAggSnapshot(data []byte) (aggSnapshot, error) {
 	}
 	rest := body[5:]
 	next := func(what string) (uint64, error) {
-		v, n, err := uvarintStrict(rest, what)
+		v, n, err := mech.UvarintStrict(rest, what)
 		if err != nil {
 			return 0, err
 		}

@@ -6,12 +6,14 @@ import (
 	"hash/crc32"
 
 	"privmdr"
+	"privmdr/internal/mech"
 )
 
 // PushEnvelope is one shard→aggregator delta push: the shard's identity, a
 // random per-process instance nonce, a per-shard monotonic sequence number,
 // and the incremental CollectorState since the shard's previous acknowledged
-// push (DiffStates output — count diffs for v2, report suffixes for v1).
+// push (DiffStates output — count diffs, plus report suffixes for a v3
+// state's retained groups).
 //
 // The sequence number is what makes retries idempotent: the aggregator
 // applies seq == last+1, acknowledges seq == last without re-applying (the
@@ -86,20 +88,6 @@ func (e PushEnvelope) MarshalBinary() ([]byte, error) {
 	return e.AppendBinary(make([]byte, 0, 64))
 }
 
-// uvarintStrict decodes a minimally-encoded uvarint, rejecting truncated,
-// overflowing, and overlong forms — like the state codec, every envelope has
-// exactly one wire form.
-func uvarintStrict(data []byte, what string) (uint64, int, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("dist: %s truncated or overflowing", what)
-	}
-	if n > 1 && v>>(7*(n-1)) == 0 {
-		return 0, 0, fmt.Errorf("dist: %s not minimally encoded", what)
-	}
-	return v, n, nil
-}
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Arbitrary input
 // never panics and never drives an unbounded allocation: the envelope header
 // is bounds-checked here and the embedded state rides the CollectorState
@@ -115,7 +103,7 @@ func (e *PushEnvelope) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("dist: unsupported push envelope version %d", data[4])
 	}
 	data = data[5:]
-	idLen, n, err := uvarintStrict(data, "push shard ID length")
+	idLen, n, err := mech.UvarintStrict(data, "push shard ID length")
 	if err != nil {
 		return err
 	}
@@ -128,7 +116,7 @@ func (e *PushEnvelope) UnmarshalBinary(data []byte) error {
 	}
 	out := PushEnvelope{Shard: string(data[:idLen])}
 	data = data[idLen:]
-	nonce, n, err := uvarintStrict(data, "push instance nonce")
+	nonce, n, err := mech.UvarintStrict(data, "push instance nonce")
 	if err != nil {
 		return err
 	}
@@ -137,7 +125,7 @@ func (e *PushEnvelope) UnmarshalBinary(data []byte) error {
 	}
 	out.Nonce = nonce
 	data = data[n:]
-	seq, n, err := uvarintStrict(data, "push sequence number")
+	seq, n, err := mech.UvarintStrict(data, "push sequence number")
 	if err != nil {
 		return err
 	}
@@ -211,7 +199,7 @@ func decodeJournalRecord(data []byte) (payload []byte, n int, err error) {
 	if data[4] != journalRecordVersion {
 		return nil, 0, fmt.Errorf("dist: unsupported journal record version %d", data[4])
 	}
-	size, ln, err := uvarintStrict(data[5:], "journal record length")
+	size, ln, err := mech.UvarintStrict(data[5:], "journal record length")
 	if err != nil {
 		return nil, 0, err
 	}

@@ -274,3 +274,18 @@ func TestEvalPointSkipsInfeasible(t *testing.T) {
 		t.Error("skip should leave a note")
 	}
 }
+
+// TestPerfPointCollectorHeap checks that the perf harness's heap column
+// measures the collector: LHIO's count vectors (~240 KB at d = 3, c = 64)
+// must show up even though the input reports (~640 KB at n = 20000) are no
+// longer needed once ingested. If those reports are collected inside the
+// measurement, the column reads 0.
+func TestPerfPointCollectorHeap(t *testing.T) {
+	pt, err := perfPoint("LHIO", 20_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.CollectorHeapBytes == 0 {
+		t.Fatalf("LHIO collector heap measured as 0 B: %+v", pt)
+	}
+}

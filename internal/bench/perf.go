@@ -1,10 +1,9 @@
 // Collector performance runner: the tracking harness behind
 // `privmdr-bench -perf`. It measures the streaming aggregation path —
 // ingest throughput, epoch-refresh (Estimate) latency, finalize latency
-// versus n, resident collector heap, snapshot size — and, for contrast,
-// the same deployment aggregated into the seed's O(n) report store,
-// emitting one JSON report (BENCH_PR10.json in CI) so the perf trajectory
-// is tracked across PRs.
+// versus n, resident collector heap, snapshot size — emitting one JSON
+// report (BENCH_PR10.json in CI) so the perf trajectory is tracked across
+// PRs.
 package bench
 
 import (
@@ -18,12 +17,11 @@ import (
 	"privmdr/internal/mech"
 )
 
-// PerfPoint is one (mechanism, n) measurement.
+// PerfPoint is one (mechanism, n) measurement of the streaming collector.
 type PerfPoint struct {
 	Mech string `json:"mech"`
 	N    int    `json:"n"`
 
-	// Streaming collector (the product path).
 	IngestReportsPerSec float64 `json:"ingest_reports_per_sec"`
 	FinalizeMillis      float64 `json:"finalize_ms"`
 	CollectorHeapBytes  uint64  `json:"collector_heap_bytes"`
@@ -33,12 +31,6 @@ type PerfPoint struct {
 	// the loaded collector, including estimator warm-up — the latency of
 	// sealing a fresh serving epoch while ingestion stays open.
 	EstimateMillis float64 `json:"estimate_ms"`
-
-	// Report-store baseline (the seed path): the same reports filed into a
-	// mech.Ingest, which is what every collector embedded before streaming.
-	ReportStoreHeapBytes  uint64  `json:"report_store_heap_bytes"`
-	ReportSnapshotBytes   int     `json:"report_snapshot_bytes"`
-	HeapRatioStoreVsCount float64 `json:"heap_ratio_store_vs_count"`
 }
 
 // PerfReport is the perf-harness JSON payload (BENCH_PR10.json in CI).
@@ -52,7 +44,9 @@ type PerfPoint struct {
 // seven mechanisms stream now, so the formerly report-retaining pair has a
 // flat-in-n refresh to track) and moved the smoke grid to n = 20k/80k so
 // the flatness bar — refresh at 80k within ~1.3x of 20k — reads straight
-// off adjacent points.
+// off adjacent points; version 6 dropped the report-store baseline columns
+// (report_store_heap_bytes, report_snapshot_bytes,
+// heap_ratio_store_vs_count), since no collector keeps a report store.
 type PerfReport struct {
 	Version       int               `json:"version"`
 	Scale         string            `json:"scale"`
@@ -62,8 +56,8 @@ type PerfReport struct {
 }
 
 // perfNs picks the user counts per scale. The paper scale reaches n = 10⁶,
-// where the acceptance bar — finalize flat in n, ≥10× heap reduction —
-// is asserted; smoke keeps CI fast.
+// where the acceptance bar — finalize and collector heap flat in n — is
+// asserted; smoke keeps CI fast.
 func perfNs(scale Scale) []int {
 	switch scale {
 	case Smoke:
@@ -104,7 +98,7 @@ func RunPerf(w io.Writer, cfg RunConfig) (*PerfReport, error) {
 	if len(mechs) == 0 {
 		mechs = []string{"HDG", "TDG", "HIO", "LHIO"}
 	}
-	report := &PerfReport{Version: 5, Scale: string(cfg.scale())}
+	report := &PerfReport{Version: 6, Scale: string(cfg.scale())}
 	for _, name := range mechs {
 		for _, n := range perfNs(cfg.scale()) {
 			pt, err := perfPoint(name, n, cfg.Seed)
@@ -112,10 +106,9 @@ func RunPerf(w io.Writer, cfg RunConfig) (*PerfReport, error) {
 				return nil, err
 			}
 			report.Points = append(report.Points, *pt)
-			fmt.Fprintf(w, "%-5s n=%-9d ingest %8.0f reports/s  refresh %7.1f ms  finalize %7.1f ms  heap %8d B (store %9d B, %5.1fx)  snapshot %6d B (v1 %9d B)\n",
+			fmt.Fprintf(w, "%-5s n=%-9d ingest %8.0f reports/s  refresh %7.1f ms  finalize %7.1f ms  heap %8d B  snapshot %6d B\n",
 				pt.Mech, pt.N, pt.IngestReportsPerSec, pt.EstimateMillis, pt.FinalizeMillis,
-				pt.CollectorHeapBytes, pt.ReportStoreHeapBytes, pt.HeapRatioStoreVsCount,
-				pt.SnapshotBytes, pt.ReportSnapshotBytes)
+				pt.CollectorHeapBytes, pt.SnapshotBytes)
 		}
 	}
 	for _, name := range mechs {
@@ -208,6 +201,9 @@ func perfPoint(name string, n int, seed uint64) (*PerfPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The input reports must outlive the measurement: collected inside it,
+	// they would be subtracted from the collector's heap.
+	runtime.KeepAlive(reports)
 	pt.CollectorHeapBytes = heap
 	sc := built.(mech.StatefulCollector)
 	st, err := sc.State()
@@ -249,32 +245,5 @@ func perfPoint(name string, n int, seed uint64) (*PerfPoint, error) {
 		return nil, err
 	}
 	pt.FinalizeMillis = float64(time.Since(start).Microseconds()) / 1e3
-
-	// Report-store baseline: identical reports in the seed's O(n) store.
-	stored, storeHeap := heapDelta(func() any {
-		in := mech.NewCollectorIngest(proto, nil)
-		if err = in.SubmitBatch(reports); err != nil {
-			return nil
-		}
-		return in
-	})
-	if err != nil {
-		return nil, err
-	}
-	pt.ReportStoreHeapBytes = storeHeap
-	v1, err := stored.(*mech.Ingest).State()
-	if err != nil {
-		return nil, err
-	}
-	v1Blob, err := v1.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	pt.ReportSnapshotBytes = len(v1Blob)
-	if pt.CollectorHeapBytes > 0 {
-		pt.HeapRatioStoreVsCount = float64(pt.ReportStoreHeapBytes) / float64(pt.CollectorHeapBytes)
-	}
-	runtime.KeepAlive(stored)
-	runtime.KeepAlive(built)
 	return pt, nil
 }

@@ -3,16 +3,16 @@ package mech
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// CountIngest is the streaming counterpart of Ingest: instead of filing raw
-// reports it folds each one into its group's sufficient statistic — a
-// fixed-size integer count vector — and drops the report. Collector memory
-// is therefore O(stripes × groups × domain) regardless of how many users
-// report, and Finalize reads the vectors instead of rescanning O(n)
-// reports.
+// CountIngest is the ingest path of every collector in this module: it folds
+// each report into its group's sufficient statistic — a fixed-size integer
+// count vector — and drops the report. Collector memory is therefore
+// O(stripes × groups × domain) regardless of how many users report, and
+// Finalize reads the vectors instead of rescanning O(n) reports.
 //
 // Concurrency is sharded by writer, not by group: the collector keeps a
 // small fixed pool of stripes (one per P up to a cap), each holding its own
@@ -40,10 +40,9 @@ import (
 // HIO's escape hatch for level vectors whose product domain exceeds its
 // streaming cap — in which case its raw reports are kept in a single
 // append-only store beside the stripes. CountIngest exports a v2 (count)
-// state, or a v3 (hybrid) state when any group retains, and additionally
-// accepts v1 (report) states by replaying each report through its group's
-// fold (or appending it to a retained group), so pre-streaming snapshots
-// still warm-restart.
+// state, or a v3 (hybrid) state when any group retains, and accepts v1
+// (report) states as input only, replaying their reports through
+// SubmitBatch, so pre-streaming snapshots still warm-restart.
 type CountIngest struct {
 	check    func(Report) error
 	mechName string
@@ -54,7 +53,7 @@ type CountIngest struct {
 	// raw report store. Appends run under the shared lifecycle lock plus the
 	// group's own mutex; the exclusive fence (Snapshot/Drain/State/Merge)
 	// waits appends out, and snapshots share the backing array by full slice
-	// expression exactly like Ingest.Snapshot — filed reports are immutable.
+	// expression — a filed report is written once and never mutated.
 	// Keeping one store per group (not per stripe) preserves the append-only
 	// prefix property DiffStates' report-suffix deltas rely on.
 	retained    []*retainedGroup
@@ -538,8 +537,7 @@ func (ci *CountIngest) SnapshotCounts() ([]GroupCounts, error) {
 		if rg := ci.retainedOf(g); rg != nil {
 			// A filed report is written exactly once (inside the locked
 			// append) and never mutated, so sharing the backing array by full
-			// slice expression yields an immutable snapshot at O(1) — the same
-			// aliasing contract as Ingest.Snapshot.
+			// slice expression yields an immutable snapshot at O(1).
 			rs := rg.reports[:len(rg.reports):len(rg.reports)]
 			counts[g] = GroupCounts{N: int64(len(rs)), Reports: rs}
 			continue
@@ -578,18 +576,17 @@ func (ci *CountIngest) State() (CollectorState, error) {
 
 // Merge implements StatefulCollector: fold an exported state into this
 // store. A v2 state of the same deployment merges as an element-wise vector
-// add; a v3 state merges the same way, with each retained group's report
-// multiset appended to the local group's store (retention configuration
-// must agree: a state that retains a group this collector streams — or vice
-// versa — is an ErrStateMismatch, since shards of one deployment share the
-// streaming cap). A v1 report state is accepted too — every report passes
-// the same check Submit applies and replays through its group's fold (or
-// appends to its retained store), which is the warm-restart path for
-// snapshots written before the collector switched to streaming. Either way
-// the state is vetted in full before anything lands, so a merge is atomic
-// like SubmitBatch. Count merges land on stripe 0 under the exclusive fence
-// — which stripe is irrelevant, the adds commute into the same read-time
-// sum.
+// add into stripe 0 under the exclusive fence — which stripe is irrelevant,
+// the adds commute into the same read-time sum; a v3 state merges the same
+// way, with each retained group's report multiset appended to the local
+// group's store (retention configuration must agree: a state that retains a
+// group this collector streams — or vice versa — is an ErrStateMismatch,
+// since shards of one deployment share the streaming cap). A v1 report
+// state, the warm-restart input for snapshots written before the collector
+// switched to streaming, must carry exactly the collector's groups; its
+// reports, joined in group order, then go through SubmitBatch like any
+// frame. Either way the state is vetted in full before anything lands, so a
+// merge is atomic like SubmitBatch.
 func (ci *CountIngest) Merge(st CollectorState) error {
 	// States may arrive from codec-free transports (JSON), so structural
 	// validation cannot be assumed.
@@ -601,7 +598,11 @@ func (ci *CountIngest) Merge(st CollectorState) error {
 			st.Mech, st.Params, ci.mechName, ci.params, ErrStateMismatch)
 	}
 	if st.Version == StateVersion {
-		return ci.mergeReports(st)
+		if len(st.Groups) != len(ci.specs) {
+			return fmt.Errorf("mech: state has %d groups, collector has %d: %w",
+				len(st.Groups), len(ci.specs), ErrStateMismatch)
+		}
+		return ci.SubmitBatch(slices.Concat(st.Groups...))
 	}
 	if len(st.Counts) != len(ci.specs) {
 		return fmt.Errorf("mech: state has %d groups, collector has %d: %w",
@@ -660,56 +661,5 @@ func (ci *CountIngest) Merge(st CollectorState) error {
 		}
 	}
 	ci.received.Add(total)
-	return nil
-}
-
-// mergeReports replays a v1 report state through the folds.
-func (ci *CountIngest) mergeReports(st CollectorState) error {
-	if len(st.Groups) != len(ci.specs) {
-		return fmt.Errorf("mech: state has %d groups, collector has %d: %w",
-			len(st.Groups), len(ci.specs), ErrStateMismatch)
-	}
-	total := 0
-	for g, rs := range st.Groups {
-		for i, r := range rs {
-			// Validate covered the structural invariants (r.Group == g,
-			// r.Value >= 0); the payload check is Submit's.
-			if ci.check != nil {
-				if err := ci.check(r); err != nil {
-					return fmt.Errorf("mech: state group %d report %d: %w", g, i, err)
-				}
-			}
-		}
-		total += len(rs)
-	}
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	if ci.done {
-		return fmt.Errorf("mech: %w", ErrFinalized)
-	}
-	// A v1 state already arrives partitioned by group, so each group's
-	// replay is one run: a batch fold into stripe 0 under the exclusive
-	// fence — or, for a retained group, one append into its raw store.
-	for g, rs := range st.Groups {
-		if len(rs) == 0 {
-			continue
-		}
-		if rg := ci.retainedOf(g); rg != nil {
-			rg.reports = append(rg.reports, rs...)
-			continue
-		}
-		grp := &ci.stripes[0].groups[g]
-		spec := &ci.specs[g]
-		grp.n += int64(len(rs))
-		switch {
-		case spec.FoldBatch != nil:
-			spec.FoldBatch(rs, grp.counts)
-		case spec.Fold != nil:
-			for i := range rs {
-				spec.Fold(rs[i], grp.counts)
-			}
-		}
-	}
-	ci.received.Add(int64(total))
 	return nil
 }

@@ -203,6 +203,21 @@ func TestCountIngestMergePreconditions(t *testing.T) {
 	if checked.Received() != 0 {
 		t.Errorf("partial v1 merge: %d reports landed", checked.Received())
 	}
+	// A v1 state must carry exactly the collector's groups: one too few or
+	// one too many (even an empty one) is a mismatch, and nothing lands.
+	for _, groups := range [][][]Report{
+		{{{Group: 0, Value: 3}}, {{Group: 1, Value: 4}}},
+		{{{Group: 0, Value: 3}}, {{Group: 1, Value: 4}}, {}, {}},
+	} {
+		ci := mk()
+		v1 := CollectorState{Version: StateVersion, Mech: base.Mech, Params: base.Params, Groups: groups}
+		if err := ci.Merge(v1); !errors.Is(err, ErrStateMismatch) {
+			t.Errorf("v1 state with %d groups: got %v, want ErrStateMismatch", len(groups), err)
+		}
+		if ci.Received() != 0 {
+			t.Errorf("v1 state with %d groups: %d reports landed", len(groups), ci.Received())
+		}
+	}
 
 	// Finalized collectors refuse everything.
 	done := mk()

@@ -1,10 +1,6 @@
 package mech
 
-import (
-	"fmt"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestEvenBoundsAndAssigner(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{{10, 3}, {100, 7}, {21, 21}, {5, 1}} {
@@ -70,83 +66,6 @@ func TestAssignerErrors(t *testing.T) {
 	}
 	if _, err := as.GroupOf(10); err == nil {
 		t.Error("out-of-range user should fail")
-	}
-}
-
-func TestIngestValidation(t *testing.T) {
-	in := NewIngest(3, func(r Report) error {
-		if r.Value > 10 {
-			return fmt.Errorf("value too large")
-		}
-		return nil
-	})
-	if err := in.Submit(Report{Group: 0, Value: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Submit(Report{Group: 3, Value: 1}); err == nil {
-		t.Error("out-of-range group accepted")
-	}
-	if err := in.Submit(Report{Group: -1, Value: 1}); err == nil {
-		t.Error("negative group accepted")
-	}
-	if err := in.Submit(Report{Group: 0, Value: 11}); err == nil {
-		t.Error("check func not applied")
-	}
-	// Batch atomicity: one bad report rejects the whole batch.
-	err := in.SubmitBatch([]Report{{Group: 1, Value: 2}, {Group: 1, Value: 99}})
-	if err == nil {
-		t.Fatal("bad batch accepted")
-	}
-	if got := in.Received(); got != 1 {
-		t.Errorf("Received = %d after rejected batch, want 1", got)
-	}
-	byGroup, err := in.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byGroup[0]) != 1 || len(byGroup[1]) != 0 {
-		t.Errorf("unexpected drain contents: %v", byGroup)
-	}
-	if _, err := in.Drain(); err == nil {
-		t.Error("double drain accepted")
-	}
-	if err := in.Submit(Report{Group: 0}); err == nil {
-		t.Error("submit after drain accepted")
-	}
-}
-
-func TestIngestConcurrent(t *testing.T) {
-	const workers, perWorker = 16, 500
-	in := NewIngest(4, nil)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				r := Report{Group: (w + i) % 4, Value: i}
-				if i%2 == 0 {
-					_ = in.Submit(r)
-				} else {
-					_ = in.SubmitBatch([]Report{r})
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := in.Received(); got != workers*perWorker {
-		t.Fatalf("received %d, want %d", got, workers*perWorker)
-	}
-	byGroup, err := in.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, g := range byGroup {
-		total += len(g)
-	}
-	if total != workers*perWorker {
-		t.Fatalf("drained %d, want %d", total, workers*perWorker)
 	}
 }
 

@@ -41,8 +41,9 @@ func FOReports(rs []Report) []fo.Report {
 	return out
 }
 
-// OracleCheck adapts an oracle's report validation to the Ingest check
-// signature, for collectors whose every group shares one oracle.
+// OracleCheck adapts an oracle's report validation to the check signature
+// NewCountCollector takes, for collectors whose every group shares one
+// oracle.
 func OracleCheck(o fo.Oracle) func(Report) error {
 	return func(r Report) error { return o.CheckReport(r.FO()) }
 }
@@ -75,25 +76,28 @@ func (r Report) MarshalBinary() ([]byte, error) {
 	return r.AppendBinary(make([]byte, 0, maxBinaryReport))
 }
 
-// uvarintStrict decodes a minimally-encoded uvarint: truncated, overflowing,
-// and non-minimal (overlong) encodings are all rejected, so every value has
-// exactly one wire form.
-func uvarintStrict(data []byte, what string) (uint64, int, error) {
+// UvarintStrict decodes the minimally-encoded uvarint at the head of data,
+// returning the value and the bytes consumed; what names the field in
+// errors. Truncated, overflowing, and non-minimal (overlong) encodings are
+// all rejected, so every value has exactly one wire form. Every binary
+// framing in the module (PMCS, PMSS, PMDP, PMJR, PMAS) and the report codec
+// read their varints through it.
+func UvarintStrict(data []byte, what string) (uint64, int, error) {
 	v, n := binary.Uvarint(data)
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("mech: truncated report %s", what)
+		return 0, 0, fmt.Errorf("mech: truncated or overflowing varint for %s", what)
 	}
 	if n > 1 && v>>(7*(n-1)) == 0 {
-		return 0, 0, fmt.Errorf("mech: non-minimal varint for report %s", what)
+		return 0, 0, fmt.Errorf("mech: non-minimal varint for %s", what)
 	}
 	return v, n, nil
 }
 
 // varintStrict decodes a minimally-encoded zigzag varint (the signed
-// counterpart of uvarintStrict): the underlying uvarint must be minimal, so
+// counterpart of UvarintStrict): the underlying uvarint must be minimal, so
 // every signed value has exactly one wire form.
 func varintStrict(data []byte, what string) (int64, int, error) {
-	u, n, err := uvarintStrict(data, what)
+	u, n, err := UvarintStrict(data, what)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -114,17 +118,17 @@ func decodeReport(data []byte) (Report, int, error) {
 		return Report{}, 0, fmt.Errorf("mech: unknown report version %d", data[0])
 	}
 	off := 1
-	group, n, err := uvarintStrict(data[off:], "group")
+	group, n, err := UvarintStrict(data[off:], "report group")
 	if err != nil {
 		return Report{}, 0, err
 	}
 	off += n
-	seed, n, err := uvarintStrict(data[off:], "seed")
+	seed, n, err := UvarintStrict(data[off:], "report seed")
 	if err != nil {
 		return Report{}, 0, err
 	}
 	off += n
-	value, n, err := uvarintStrict(data[off:], "value")
+	value, n, err := UvarintStrict(data[off:], "report value")
 	if err != nil {
 		return Report{}, 0, err
 	}
@@ -183,7 +187,7 @@ func DecodeReports(data []byte) ([]Report, error) {
 // scratch — truncate it with [:0] before reuse — but its capacity is
 // preserved, so a pooled buffer survives malformed frames.
 func AppendDecodedReports(dst []Report, data []byte) ([]Report, error) {
-	count, n, err := uvarintStrict(data, "batch header")
+	count, n, err := UvarintStrict(data, "report batch header")
 	if err != nil {
 		return dst, err
 	}

@@ -14,8 +14,9 @@ import (
 // three shapes, distinguished by the state version:
 //
 //   - v1 (ReportState): the per-group report multisets themselves — the
-//     shape every pre-streaming snapshot carries. No collector exports it
-//     anymore, but every collector still accepts it on Merge.
+//     shape every pre-streaming snapshot carries. It is input only: the
+//     codecs and Validate accept it and every collector folds it in on
+//     Merge, but no collector exports it and DiffStates refuses it.
 //   - v2 (CountState): per-group folded count vectors plus report tallies —
 //     the O(domain) form every fully streaming collector (all 7 mechanisms
 //     in their default configurations) exports. Merging two count states is
@@ -28,9 +29,9 @@ import (
 //
 // Either way, exporting states from N sharded collectors and merging in any
 // order finalizes to a bit-identical estimator as one collector ingesting
-// everything; a v1 state also folds into a streaming collector (each report
-// is replayed through the group's fold), which is the warm-restart path for
-// snapshots written before the collector switched to streaming.
+// everything; merging a v1 state replays its reports through SubmitBatch,
+// which is the warm-restart path for snapshots written before the collector
+// switched to streaming.
 
 // ErrFinalized reports an operation against a collector whose ingestion has
 // already been closed by Finalize. Servers map it to 409 Conflict.
@@ -320,7 +321,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 	}
 	out := CollectorState{Version: int(data[4])}
 	data = data[5:]
-	nameLen, n, err := uvarintStrict(data, "state name length")
+	nameLen, n, err := UvarintStrict(data, "state name length")
 	if err != nil {
 		return err
 	}
@@ -339,7 +340,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 		what string
 		dst  *int
 	}{{"params n", &out.Params.N}, {"params d", &out.Params.D}, {"params c", &out.Params.C}} {
-		v, n, err := uvarintStrict(data, f.what)
+		v, n, err := UvarintStrict(data, f.what)
 		if err != nil {
 			return err
 		}
@@ -356,7 +357,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 	out.Params.Seed = binary.LittleEndian.Uint64(data[8:])
 	data = data[16:]
 
-	groups, n, err := uvarintStrict(data, "state group count")
+	groups, n, err := UvarintStrict(data, "state group count")
 	if err != nil {
 		return err
 	}
@@ -374,7 +375,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 	if out.Version == StateVersionCounts || out.Version == StateVersionHybrid {
 		out.Counts = make([]GroupCounts, groups)
 		for g := range out.Counts {
-			nRep, n, err := uvarintStrict(data, "state group report count")
+			nRep, n, err := UvarintStrict(data, "state group report count")
 			if err != nil {
 				return fmt.Errorf("mech: state group %d: %w", g, err)
 			}
@@ -382,7 +383,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 				return fmt.Errorf("mech: state group %d report count overflows int64", g)
 			}
 			data = data[n:]
-			clen, n, err := uvarintStrict(data, "state count-vector length")
+			clen, n, err := UvarintStrict(data, "state count-vector length")
 			if err != nil {
 				return fmt.Errorf("mech: state group %d: %w", g, err)
 			}
@@ -409,7 +410,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 				}
 			}
 			if out.Version == StateVersionHybrid {
-				count, n, err := uvarintStrict(data, "state retained-report count")
+				count, n, err := UvarintStrict(data, "state retained-report count")
 				if err != nil {
 					return fmt.Errorf("mech: state group %d: %w", g, err)
 				}
@@ -454,7 +455,7 @@ func (st *CollectorState) UnmarshalBinary(data []byte) error {
 	}
 	out.Groups = make([][]Report, groups)
 	for g := range out.Groups {
-		count, n, err := uvarintStrict(data, "state report count")
+		count, n, err := UvarintStrict(data, "state report count")
 		if err != nil {
 			return fmt.Errorf("mech: state group %d: %w", g, err)
 		}

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 )
 
-// fakeProtocol is a minimal Protocol for exercising the Ingest-level state
+// fakeProtocol is a minimal Protocol for exercising the collector-state
 // machinery without dragging in a concrete mechanism.
 type fakeProtocol struct {
 	name   string
@@ -36,23 +35,16 @@ func testProtocol() *fakeProtocol {
 	return &fakeProtocol{name: "Fake", p: Params{N: 100, D: 3, C: 8, Eps: 1.25, Seed: 77}, groups: 3}
 }
 
+// sampleState is a v1 (report) state of testProtocol's deployment. No
+// collector exports v1 any more, so it is built directly.
 func sampleState(t *testing.T) CollectorState {
 	t.Helper()
-	in := NewCollectorIngest(testProtocol(), nil)
-	for _, r := range []Report{
-		{Group: 0, Seed: 12345, Value: 2},
-		{Group: 0, Value: 1},
-		{Group: 2, Seed: 1 << 60, Value: 1 << 40},
-	} {
-		if err := in.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := in.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	pr := testProtocol()
+	return CollectorState{Version: StateVersion, Mech: pr.Name(), Params: pr.Params(), Groups: [][]Report{
+		{{Group: 0, Seed: 12345, Value: 2}, {Group: 0, Value: 1}},
+		{},
+		{{Group: 2, Seed: 1 << 60, Value: 1 << 40}},
+	}}
 }
 
 func TestCollectorStateBinaryRoundTrip(t *testing.T) {
@@ -280,143 +272,5 @@ func TestCollectorStateV2RejectsMalformed(t *testing.T) {
 	v1WithCounts.Counts = []GroupCounts{{N: 1}}
 	if err := v1WithCounts.Validate(); err == nil {
 		t.Error("v1 state with count groups validated")
-	}
-}
-
-func TestIngestRejectsCountState(t *testing.T) {
-	in := NewCollectorIngest(testProtocol(), nil)
-	st := sampleCountState(t)
-	if err := in.Merge(st); !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("report store merging v2 state: got %v, want ErrStateMismatch", err)
-	}
-}
-
-func TestIngestStateSnapshotIsolated(t *testing.T) {
-	in := NewCollectorIngest(testProtocol(), nil)
-	if err := in.Submit(Report{Group: 1, Value: 4}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := in.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ingestion after the snapshot must not leak into it.
-	if err := in.Submit(Report{Group: 1, Value: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if st.Received() != 1 || len(st.Groups[1]) != 1 {
-		t.Fatalf("snapshot mutated: %+v", st)
-	}
-	if in.Received() != 2 {
-		t.Fatalf("Received = %d, want 2", in.Received())
-	}
-}
-
-func TestIngestMergePreconditions(t *testing.T) {
-	pr := testProtocol()
-	mk := func() *Ingest { return NewCollectorIngest(pr, nil) }
-	base, err := mk().State()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Version, mechanism, params, and group-layout mismatches.
-	wrongVersion := base
-	wrongVersion.Version = 99
-	if err := mk().Merge(wrongVersion); err == nil {
-		t.Error("wrong version merged")
-	}
-	wrongMech := base
-	wrongMech.Mech = "Other"
-	if err := mk().Merge(wrongMech); !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("wrong mech: got %v, want ErrStateMismatch", err)
-	}
-	wrongSeed := base
-	wrongSeed.Params.Seed++
-	if err := mk().Merge(wrongSeed); !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("wrong seed: got %v, want ErrStateMismatch", err)
-	}
-	wrongGroups := base
-	wrongGroups.Groups = wrongGroups.Groups[:2]
-	if err := mk().Merge(wrongGroups); !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("wrong group count: got %v, want ErrStateMismatch", err)
-	}
-
-	// The per-report check applies to merged reports exactly as to
-	// submitted ones, and the merge is atomic: nothing lands on failure.
-	checked := NewCollectorIngest(pr, func(r Report) error {
-		if r.Value > 10 {
-			return fmt.Errorf("value too large")
-		}
-		return nil
-	})
-	bad := base
-	bad.Groups = [][]Report{{{Group: 0, Value: 3}}, {{Group: 1, Value: 99}}, {}}
-	if err := checked.Merge(bad); err == nil {
-		t.Error("failing report check merged")
-	}
-	if checked.Received() != 0 {
-		t.Errorf("partial merge: %d reports landed", checked.Received())
-	}
-
-	// Finalized collectors refuse both State and Merge.
-	done := mk()
-	if _, err := done.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := done.State(); !errors.Is(err, ErrFinalized) {
-		t.Errorf("State after drain: got %v, want ErrFinalized", err)
-	}
-	if err := done.Merge(base); !errors.Is(err, ErrFinalized) {
-		t.Errorf("Merge after drain: got %v, want ErrFinalized", err)
-	}
-}
-
-func TestIngestMergeOrderIrrelevant(t *testing.T) {
-	pr := testProtocol()
-	// Three shards with distinct payloads.
-	shardReports := [][]Report{
-		{{Group: 0, Value: 1}, {Group: 1, Value: 2}},
-		{{Group: 1, Value: 3}},
-		{{Group: 2, Value: 4}, {Group: 0, Value: 5}, {Group: 0, Value: 6}},
-	}
-	states := make([]CollectorState, len(shardReports))
-	for i, rs := range shardReports {
-		in := NewCollectorIngest(pr, nil)
-		if err := in.SubmitBatch(rs); err != nil {
-			t.Fatal(err)
-		}
-		st, err := in.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		states[i] = st
-	}
-	counts := func(order []int) [][]Report {
-		in := NewCollectorIngest(pr, nil)
-		for _, i := range order {
-			if err := in.Merge(states[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		byGroup, err := in.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return byGroup
-	}
-	a := counts([]int{0, 1, 2})
-	b := counts([]int{2, 0, 1})
-	for g := range a {
-		if len(a[g]) != len(b[g]) {
-			t.Fatalf("group %d: %d vs %d reports across merge orders", g, len(a[g]), len(b[g]))
-		}
-	}
-	total := 0
-	for _, rs := range a {
-		total += len(rs)
-	}
-	if total != 6 {
-		t.Fatalf("merged %d reports, want 6", total)
 	}
 }

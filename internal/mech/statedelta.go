@@ -16,12 +16,11 @@ import "fmt"
 //     counts. Entries may be negative (Hadamard folds ±1), which the v2
 //     codec's zigzag varints encode natively.
 //   - v3 (hybrid states): streamed groups diff like v2; a retained group's
-//     delta is its report suffix beyond prev's length, exactly the v1 rule
-//     (retained stores are append-only, so prev is always a prefix).
-//   - v1 (report states): per group, the delta is the suffix of reports
-//     beyond prev's length. Collector report stores are append-only (Submit
-//     and Merge both append), so an earlier snapshot is always a per-group
-//     prefix of a later one.
+//     delta is its report suffix beyond prev's length (retained stores are
+//     append-only, so prev is always a prefix).
+//
+// v1 (report) states are an input-only format — Merge folds them in, but no
+// collector exports one — so DiffStates rejects them.
 //
 // A zero-value prev (Version 0) means "nothing shipped yet": the delta is
 // cur itself. DiffStates never mutates its arguments; the returned state
@@ -30,6 +29,9 @@ import "fmt"
 func DiffStates(cur, prev CollectorState) (CollectorState, error) {
 	if err := cur.Validate(); err != nil {
 		return CollectorState{}, err
+	}
+	if cur.Version == StateVersion {
+		return CollectorState{}, fmt.Errorf("mech: cannot diff a v1 report state; no collector exports one")
 	}
 	if prev.Version == 0 {
 		return cur, nil
@@ -41,63 +43,41 @@ func DiffStates(cur, prev CollectorState) (CollectorState, error) {
 		return CollectorState{}, fmt.Errorf("mech: cannot diff %s v%d state against %s v%d state: %w",
 			cur.Mech, cur.Version, prev.Mech, prev.Version, ErrStateMismatch)
 	}
-	out := CollectorState{Version: cur.Version, Mech: cur.Mech, Params: cur.Params}
-	if cur.Version == StateVersionCounts || cur.Version == StateVersionHybrid {
-		if len(cur.Counts) != len(prev.Counts) {
-			return CollectorState{}, fmt.Errorf("mech: cannot diff %d-group state against %d-group state: %w",
-				len(cur.Counts), len(prev.Counts), ErrStateMismatch)
-		}
-		out.Counts = make([]GroupCounts, len(cur.Counts))
-		for g := range cur.Counts {
-			cg, pg := cur.Counts[g], prev.Counts[g]
-			if cg.N < pg.N {
-				return CollectorState{}, fmt.Errorf("mech: group %d regressed from %d to %d reports; prev is not an earlier snapshot of cur",
-					g, pg.N, cg.N)
-			}
-			if len(cg.Counts) != len(pg.Counts) {
-				return CollectorState{}, fmt.Errorf("mech: group %d count-vector length changed from %d to %d: %w",
-					g, len(pg.Counts), len(cg.Counts), ErrStateMismatch)
-			}
-			// A v3 retained group diffs by report suffix: its store is
-			// append-only like a v1 group's, so an earlier snapshot is always
-			// a prefix of a later one. (A retained group never carries counts
-			// and a streamed group never carries reports, so the shape checks
-			// above and the N regression check cover mixed inputs.)
-			if len(cg.Reports) < len(pg.Reports) {
-				return CollectorState{}, fmt.Errorf("mech: group %d regressed from %d to %d retained reports; prev is not an earlier snapshot of cur",
-					g, len(pg.Reports), len(cg.Reports))
-			}
-			gc := GroupCounts{N: cg.N - pg.N}
-			if len(cg.Counts) > 0 {
-				gc.Counts = make([]int64, len(cg.Counts))
-				for i := range cg.Counts {
-					gc.Counts[i] = cg.Counts[i] - pg.Counts[i]
-				}
-			}
-			if len(cg.Reports) > 0 {
-				suffix := cg.Reports[len(pg.Reports):]
-				gc.Reports = suffix[:len(suffix):len(suffix)]
-			}
-			out.Counts[g] = gc
-		}
-		return out, nil
-	}
-	if len(cur.Groups) != len(prev.Groups) {
+	if len(cur.Counts) != len(prev.Counts) {
 		return CollectorState{}, fmt.Errorf("mech: cannot diff %d-group state against %d-group state: %w",
-			len(cur.Groups), len(prev.Groups), ErrStateMismatch)
+			len(cur.Counts), len(prev.Counts), ErrStateMismatch)
 	}
-	out.Groups = make([][]Report, len(cur.Groups))
-	for g := range cur.Groups {
-		if len(cur.Groups[g]) < len(prev.Groups[g]) {
+	out := CollectorState{Version: cur.Version, Mech: cur.Mech, Params: cur.Params,
+		Counts: make([]GroupCounts, len(cur.Counts))}
+	for g := range cur.Counts {
+		cg, pg := cur.Counts[g], prev.Counts[g]
+		if cg.N < pg.N {
 			return CollectorState{}, fmt.Errorf("mech: group %d regressed from %d to %d reports; prev is not an earlier snapshot of cur",
-				g, len(prev.Groups[g]), len(cur.Groups[g]))
+				g, pg.N, cg.N)
 		}
-		suffix := cur.Groups[g][len(prev.Groups[g]):]
-		// Keep empty groups non-nil so the delta encodes like any State().
-		out.Groups[g] = suffix[:len(suffix):len(suffix)]
-		if out.Groups[g] == nil {
-			out.Groups[g] = []Report{}
+		if len(cg.Counts) != len(pg.Counts) {
+			return CollectorState{}, fmt.Errorf("mech: group %d count-vector length changed from %d to %d: %w",
+				g, len(pg.Counts), len(cg.Counts), ErrStateMismatch)
 		}
+		// A v3 retained group diffs by report suffix. (A retained group never
+		// carries counts and a streamed group never carries reports, so the
+		// shape checks above and the N regression check cover mixed inputs.)
+		if len(cg.Reports) < len(pg.Reports) {
+			return CollectorState{}, fmt.Errorf("mech: group %d regressed from %d to %d retained reports; prev is not an earlier snapshot of cur",
+				g, len(pg.Reports), len(cg.Reports))
+		}
+		gc := GroupCounts{N: cg.N - pg.N}
+		if len(cg.Counts) > 0 {
+			gc.Counts = make([]int64, len(cg.Counts))
+			for i := range cg.Counts {
+				gc.Counts[i] = cg.Counts[i] - pg.Counts[i]
+			}
+		}
+		if len(cg.Reports) > 0 {
+			suffix := cg.Reports[len(pg.Reports):]
+			gc.Reports = suffix[:len(suffix):len(suffix)]
+		}
+		out.Counts[g] = gc
 	}
 	return out, nil
 }

@@ -71,68 +71,6 @@ func TestDiffStatesCounts(t *testing.T) {
 	}
 }
 
-// TestDiffStatesReports pins the v1 delta semantics: the per-group report
-// suffix beyond prev's length.
-func TestDiffStatesReports(t *testing.T) {
-	in := NewCollectorIngest(testProtocol(), nil)
-	first := []Report{{Group: 0, Value: 1}, {Group: 2, Value: 9}}
-	for _, r := range first {
-		if err := in.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prev, err := in.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := []Report{{Group: 0, Value: 4}, {Group: 1, Value: 6}}
-	for _, r := range second {
-		if err := in.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cur, err := in.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	delta, err := DiffStates(cur, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]Report{{{Group: 0, Value: 4}}, {{Group: 1, Value: 6}}, {}}
-	if !reflect.DeepEqual(delta.Groups, want) {
-		t.Fatalf("delta groups:\n got %+v\nwant %+v", delta.Groups, want)
-	}
-	// The delta must survive its own codec (empty groups stay canonical).
-	blob, err := delta.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CollectorState
-	if err := back.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, delta) {
-		t.Fatalf("delta round trip mismatch:\n got %+v\nwant %+v", back, delta)
-	}
-
-	downstream := NewCollectorIngest(testProtocol(), nil)
-	if err := downstream.Merge(prev); err != nil {
-		t.Fatal(err)
-	}
-	if err := downstream.Merge(delta); err != nil {
-		t.Fatal(err)
-	}
-	got, err := downstream.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, cur) {
-		t.Fatalf("prev + delta:\n got %+v\nwant %+v", got, cur)
-	}
-}
-
 // TestDiffStatesZeroPrev: a zero-value prev means nothing was shipped yet,
 // so the delta is the full current state.
 func TestDiffStatesZeroPrev(t *testing.T) {
@@ -169,10 +107,14 @@ func TestDiffStatesRejects(t *testing.T) {
 	if _, err := DiffStates(v2, ahead); err == nil {
 		t.Fatal("regressed v2 group accepted")
 	}
-	aheadReports := sampleState(t)
-	aheadReports.Groups[0] = append(aheadReports.Groups[0], Report{Group: 0, Value: 3})
-	if _, err := DiffStates(v1, aheadReports); err == nil {
-		t.Fatal("regressed v1 group accepted")
+
+	// v1 is input only: no collector exports it, so no pair of v1 states is
+	// two State() exports of one collector — not even a state and itself.
+	if _, err := DiffStates(v1, v1); err == nil {
+		t.Fatal("v1 states diffed")
+	}
+	if _, err := DiffStates(v1, CollectorState{}); err == nil {
+		t.Fatal("v1 state diffed against a zero prev")
 	}
 
 	malformed := v2

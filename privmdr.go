@@ -166,11 +166,11 @@ type (
 	StatefulCollector = mech.StatefulCollector
 	// CollectorState is a versioned, self-describing snapshot of a
 	// collector's aggregation state: deployment identity plus the sufficient
-	// statistic — per-group report multisets (v1, the legacy shape every
-	// collector still accepts in Merge), folded count vectors (v2, what all
-	// seven mechanisms export), or a mix of the two (v3, capped HIO
-	// deployments whose deepest groups retain reports). See PROTOCOL.md
-	// "Sharding & persistence".
+	// statistic — per-group report multisets (v1, an input-only legacy shape
+	// that every collector still accepts in Merge but none exports), folded
+	// count vectors (v2, what all seven mechanisms export), or a mix of the
+	// two (v3, capped HIO deployments whose deepest groups retain reports).
+	// See PROTOCOL.md "Sharding & persistence".
 	CollectorState = mech.CollectorState
 	// GroupCounts is one group's entry in a CollectorState: the report tally
 	// plus either the folded count vector (streamed groups) or the raw
@@ -325,11 +325,11 @@ func DecodeSnapshot(data []byte) (CollectorState, uint64, error) {
 // DiffStates computes the incremental state cur − prev between two State()
 // exports of the same collector, prev taken earlier than cur. The delta is
 // itself a CollectorState — count-vector differences for streaming (v2)
-// states, per-group report suffixes for legacy report-multiset (v1) states,
-// and both at once for hybrid (v3) states — so a downstream collector that
-// already merged prev reconstructs cur exactly by merging the delta. It is
-// the shard-side primitive behind the dist package's delta pushes. A
-// zero-value prev yields cur itself.
+// states, plus the retained groups' report suffixes for hybrid (v3) states
+// — so a downstream collector that already merged prev reconstructs cur
+// exactly by merging the delta. It is the shard-side primitive behind the
+// dist package's delta pushes. A zero-value prev yields cur itself. Legacy
+// report-multiset (v1) states are rejected: no collector exports them.
 func DiffStates(cur, prev CollectorState) (CollectorState, error) {
 	return mech.DiffStates(cur, prev)
 }

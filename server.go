@@ -428,7 +428,7 @@ const snapshotVersion = 1
 // records the serving epoch counter and can be taken at any time —
 // including while queries are being served, since estimation never closes
 // the collector. The snapshot is an aggregate of sanitized ε-LDP reports
-// (count vectors for streaming mechanisms, report multisets for the rest)
+// (count vectors, plus the raw reports of a capped HIO's retained groups)
 // — storing it adds no privacy cost.
 func (s *QueryServer) SaveSnapshot(path string) error {
 	st, err := s.State()
@@ -463,7 +463,8 @@ func encodeSnapshot(st CollectorState, epoch uint64) ([]byte, error) {
 }
 
 // decodeSnapshot parses a snapshot file: either a bare collector state or a
-// live server's epoch-stamped wrapper.
+// live server's epoch-stamped wrapper. The epoch varint must be minimal, as
+// in every other framing, so each snapshot has exactly one wire form.
 func decodeSnapshot(data []byte) (CollectorState, uint64, error) {
 	var epoch uint64
 	if len(data) >= len(snapshotMagic) && [4]byte(data[:4]) == snapshotMagic {
@@ -472,9 +473,9 @@ func decodeSnapshot(data []byte) (CollectorState, uint64, error) {
 			return CollectorState{}, 0, fmt.Errorf("privmdr: unsupported snapshot version")
 		}
 		rest = rest[1:]
-		e, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return CollectorState{}, 0, fmt.Errorf("privmdr: snapshot epoch counter truncated")
+		e, n, err := mech.UvarintStrict(rest, "snapshot epoch counter")
+		if err != nil {
+			return CollectorState{}, 0, err
 		}
 		epoch = e
 		data = rest[n:]

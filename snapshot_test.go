@@ -8,7 +8,7 @@ import (
 )
 
 // snapshotState builds a small real collector state to wrap in snapshots.
-func snapshotState(t *testing.T) privmdr.CollectorState {
+func snapshotState(t testing.TB) privmdr.CollectorState {
 	t.Helper()
 	p := privmdr.Params{N: 50, D: 3, C: 16, Eps: 1.0, Seed: 210}
 	proto, err := privmdr.ProtocolByName("Uni", p)
@@ -93,6 +93,7 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 		{"missing epoch varint", blob[:5]},
 		{"overflowing epoch varint", append(append([]byte{}, blob[:5]...),
 			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)},
+		{"overlong epoch varint", overlongEpoch(blob)},
 		{"missing state", blob[:6]},
 		{"garbage state", append(append([]byte{}, blob[:6]...), 1, 2, 3)},
 		{"truncated state", blob[:len(blob)-1]},
@@ -104,4 +105,51 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 			t.Errorf("%s: decoded successfully", tc.name)
 		}
 	}
+}
+
+// overlongEpoch rewrites a one-byte epoch wrapper's epoch as the two-byte
+// varint 81 00: "PMSS" 01 81 00 <state>. Read leniently it is epoch 1, a
+// second wire form for "PMSS" 01 01 <state>.
+func overlongEpoch(blob []byte) []byte {
+	return append(append(append([]byte{}, blob[:5]...), 0x81, 0x00), blob[6:]...)
+}
+
+// FuzzSnapshot is the snapshot codec's untrusted-input contract, matching
+// the state, push-envelope and journal fuzzers: replicas decode "PMSS"
+// blobs straight off the network (POST /v1/{t}/epoch, GET …/epoch/latest)
+// and the aggregator reads them back out of its "PMAS" snapshot, so
+// arbitrary bytes must never panic, and anything that decodes must
+// re-encode byte-identically — through EncodeSnapshot for an epoch-stamped
+// wrapper, through EncodeState for a bare state.
+func FuzzSnapshot(f *testing.F) {
+	st := snapshotState(f)
+	wrapped, err := privmdr.EncodeSnapshot(st, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bare, err := privmdr.EncodeState(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrapped)
+	f.Add(bare)
+	f.Add(overlongEpoch(wrapped))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, epoch, err := privmdr.DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		var out []byte
+		if bytes.HasPrefix(data, []byte("PMSS")) {
+			out, err = privmdr.EncodeSnapshot(st, epoch)
+		} else {
+			out, err = privmdr.EncodeState(st)
+		}
+		if err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("round trip changed bytes: %x -> %x", data, out)
+		}
+	})
 }
