@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"privmdr"
+	"privmdr/internal/loop"
 )
 
 // SealOptions configure the aggregator's epoch coordinator.
@@ -94,17 +95,14 @@ type Aggregator struct {
 	replicas []*replicaFan
 	mux      *http.ServeMux
 	tr       *transport
-
-	interval time.Duration
 	minNew   int
+	sealer   *loop.Loop // nil without a seal interval
 
-	// sealWG tracks threshold seals spawned off push handlers so Close can
-	// drain them.
-	sealWG sync.WaitGroup
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{} // closed when the background sealer exits; nil without one
+	// Threshold seals run off the push handlers under sealCtx, which Close
+	// cancels; sealWG lets Close wait for them.
+	sealCtx     context.Context
+	cancelSeals context.CancelFunc
+	sealWG      sync.WaitGroup
 }
 
 // shardCursor is the aggregator's per-shard sequencing state: the instance
@@ -232,11 +230,9 @@ func NewAggregator(topo *Topology, opts SealOptions) (*Aggregator, error) {
 		return nil, err
 	}
 	a := &Aggregator{
-		tenants:  make(map[string]*aggTenant, len(topo.Tenants)),
-		tr:       newTransport(opts.Timeout),
-		interval: opts.Interval,
-		minNew:   opts.MinNewReports,
-		stop:     make(chan struct{}),
+		tenants: make(map[string]*aggTenant, len(topo.Tenants)),
+		tr:      newTransport(opts.Timeout),
+		minNew:  opts.MinNewReports,
 	}
 	for _, rep := range topo.Replicas {
 		a.replicas = append(a.replicas, &replicaFan{url: rep})
@@ -267,17 +263,26 @@ func NewAggregator(topo *Topology, opts SealOptions) (*Aggregator, error) {
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/{tenant}/push", a.handlePush)
-	mux.HandleFunc("POST /v1/{tenant}/seal", a.handleSeal)
-	mux.HandleFunc("GET /v1/{tenant}/state", a.handleState)
-	mux.HandleFunc("GET /v1/{tenant}/epoch/latest", a.handleEpochLatest)
-	mux.HandleFunc("GET /v1/{tenant}/params", a.handleParams)
-	mux.HandleFunc("GET /v1/{tenant}/healthz", a.handleHealthz)
+	mux.Handle("POST /v1/{tenant}/push", byTenant(a.tenants, a.handlePush))
+	mux.Handle("POST /v1/{tenant}/seal", byTenant(a.tenants, a.handleSeal))
+	mux.Handle("GET /v1/{tenant}/state", byTenant(a.tenants, a.handleState))
+	mux.Handle("GET /v1/{tenant}/epoch/latest", byTenant(a.tenants, a.handleEpochLatest))
+	mux.Handle("GET /v1/{tenant}/params", byTenant(a.tenants, func(w http.ResponseWriter, _ *http.Request, t *aggTenant) {
+		writeParams(w, t.proto)
+	}))
+	mux.Handle("GET /v1/{tenant}/healthz", byTenant(a.tenants, a.handleHealthz))
 	a.mux = mux
-	if opts.Interval > 0 {
-		a.done = make(chan struct{})
-		go a.sealLoop()
-	}
+	a.sealCtx, a.cancelSeals = context.WithCancel(context.Background())
+	// The background sealer seals each tenant that accumulated at least
+	// MinNewReports since its last epoch.
+	a.sealer = loop.Start(opts.Interval, false, func(ctx context.Context) {
+		for _, name := range a.names {
+			if ctx.Err() != nil {
+				return
+			}
+			_, _ = a.Seal(ctx, name, false)
+		}
+	})
 	return a, nil
 }
 
@@ -372,35 +377,18 @@ func (a *Aggregator) closeStores() {
 // ServeHTTP implements http.Handler.
 func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
 
-// Close stops the background sealer, waits for any in-flight threshold
-// seals, and flushes and closes the per-tenant journals. Shut the HTTP
-// listener down first so no new pushes can spawn seals while Close drains.
+// Close stops the background sealer, cancels the fan-out of any scheduled
+// or threshold seal in flight instead of waiting out a slow replica, waits
+// for those seals to return, and flushes and closes the per-tenant
+// journals. A cancelled seal has already snapshotted and compacted, and
+// replicas it missed catch up by polling. Shut the HTTP listener down
+// first so no new pushes can spawn seals while Close drains.
 func (a *Aggregator) Close() error {
-	a.stopOnce.Do(func() { close(a.stop) })
-	if a.done != nil {
-		<-a.done
-	}
+	a.cancelSeals()
+	a.sealer.Stop()
 	a.sealWG.Wait()
 	a.closeStores()
 	return nil
-}
-
-// sealLoop is the background sealer: every interval it seals each tenant
-// that accumulated at least MinNewReports since its last epoch.
-func (a *Aggregator) sealLoop() {
-	defer close(a.done)
-	t := time.NewTicker(a.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-t.C:
-			for _, name := range a.names {
-				_, _ = a.Seal(context.Background(), name, false)
-			}
-		}
-	}
 }
 
 // apply merges one push envelope under the tenant's sequencing protocol.
@@ -471,13 +459,7 @@ func (t *aggTenant) apply(env PushEnvelope, raw []byte) (applied bool, last uint
 	return true, env.Seq, nil
 }
 
-func (a *Aggregator) handlePush(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := a.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (a *Aggregator) handlePush(w http.ResponseWriter, r *http.Request, t *aggTenant) {
 	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, errStatus(err), err)
@@ -503,15 +485,14 @@ func (a *Aggregator) handlePush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, pushAck{Applied: applied, Last: last})
 	if applied && a.minNew > 0 {
 		// Threshold sealing: don't wait for the ticker once enough reports
-		// accumulated. Runs in its own goroutine, detached from the request
-		// context, so push latency never pays for estimator fan-out and a
-		// client disconnect can't abort the replica updates mid-flight;
-		// Close drains the WaitGroup.
+		// accumulated. Runs in its own goroutine under sealCtx, not the
+		// request's context, so push latency never pays for estimator
+		// fan-out and a client disconnect can't abort the replica updates
+		// mid-flight; Close cancels the fan-out and waits.
 		a.sealWG.Add(1)
-		ctx := context.WithoutCancel(r.Context())
 		go func() {
 			defer a.sealWG.Done()
-			_, _ = a.Seal(ctx, name, false)
+			_, _ = a.Seal(a.sealCtx, t.name, false)
 		}()
 	}
 }
@@ -678,18 +659,12 @@ func (a *Aggregator) fanout(ctx context.Context, tenant string, blob []byte, epo
 // handleEpochLatest serves the last sealed epoch's PMSS blob — the replica
 // catch-up path: a cold-started or fan-out-missed replica pulls it and
 // installs through its strictly-newer epoch gate. 404 before the first seal.
-func (a *Aggregator) handleEpochLatest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := a.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (a *Aggregator) handleEpochLatest(w http.ResponseWriter, _ *http.Request, t *aggTenant) {
 	t.mu.Lock()
 	blob := t.sealedBlob
 	t.mu.Unlock()
 	if blob == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("dist: tenant %q has no sealed epoch yet", name))
+		writeError(w, http.StatusNotFound, fmt.Errorf("dist: tenant %q has no sealed epoch yet", t.name))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -707,13 +682,8 @@ func (a *Aggregator) State(tenant string) (privmdr.CollectorState, error) {
 	return t.coll.State()
 }
 
-func (a *Aggregator) handleSeal(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	if _, ok := a.tenants[name]; !ok {
-		unknownTenant(w, name)
-		return
-	}
-	res, err := a.Seal(r.Context(), name, true)
+func (a *Aggregator) handleSeal(w http.ResponseWriter, r *http.Request, t *aggTenant) {
+	res, err := a.Seal(r.Context(), t.name, true)
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
@@ -721,13 +691,7 @@ func (a *Aggregator) handleSeal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (a *Aggregator) handleState(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := a.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (a *Aggregator) handleState(w http.ResponseWriter, _ *http.Request, t *aggTenant) {
 	t.mu.Lock()
 	st, err := t.coll.State()
 	t.mu.Unlock()
@@ -744,23 +708,7 @@ func (a *Aggregator) handleState(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-func (a *Aggregator) handleParams(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := a.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
-	writeJSON(w, http.StatusOK, privmdr.ServerParams{Mechanism: t.proto.Name(), Params: t.proto.Params()})
-}
-
-func (a *Aggregator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := a.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (a *Aggregator) handleHealthz(w http.ResponseWriter, _ *http.Request, t *aggTenant) {
 	t.mu.Lock()
 	shards := make(map[string]uint64, len(t.shards))
 	for id, cur := range t.shards {

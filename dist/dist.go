@@ -120,8 +120,23 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 }
 
-// unknownTenant writes the 404 every role returns for a tenant outside its
-// topology.
-func unknownTenant(w http.ResponseWriter, name string) {
-	writeError(w, http.StatusNotFound, fmt.Errorf("dist: unknown tenant %q", name))
+// byTenant routes a /v1/{tenant}/... request to h with the named tenant
+// looked up in tenants, and answers the 404 every role returns for a
+// tenant outside its topology.
+func byTenant[T any](tenants map[string]T, h func(http.ResponseWriter, *http.Request, T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("tenant")
+		t, ok := tenants[name]
+		if !ok {
+			writeError(w, http.StatusNotFound, fmt.Errorf("dist: unknown tenant %q", name))
+			return
+		}
+		h(w, r, t)
+	}
+}
+
+// writeParams is the GET /v1/{tenant}/params reply of the roles that do
+// not delegate it to a QueryServer.
+func writeParams(w http.ResponseWriter, proto privmdr.Protocol) {
+	writeJSON(w, http.StatusOK, privmdr.ServerParams{Mechanism: proto.Name(), Params: proto.Params()})
 }

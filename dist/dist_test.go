@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -806,7 +807,7 @@ func TestReplicaEpochOrdering(t *testing.T) {
 }
 
 // TestUnknownTenant pins the 404 every role returns for tenants outside the
-// topology.
+// topology, on every route each role registers, with one shared body.
 func TestUnknownTenant(t *testing.T) {
 	p := privmdr.Params{N: 10, D: 3, C: 16, Eps: 1.0, Seed: 210}
 	topo := &Topology{Tenants: []TenantConfig{{Name: "census", Mechanism: "Uni", Params: p}}}
@@ -829,17 +830,26 @@ func TestUnknownTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = tenantSrv.Close() })
-	for _, h := range []http.Handler{agg, rep, shard, tenantSrv} {
-		ts := httptest.NewServer(h)
-		resp, err := http.Get(ts.URL + "/v1/nosuch/healthz")
-		if err != nil {
-			t.Fatal(err)
+	roles := []struct {
+		h      http.Handler
+		routes []string
+	}{
+		{agg, []string{"POST /push", "POST /seal", "GET /state", "GET /epoch/latest", "GET /params", "GET /healthz"}},
+		{rep, []string{"POST /epoch", "POST /query", "GET /params", "GET /healthz"}},
+		{shard, []string{"POST /reports", "GET /params", "GET /state", "GET /healthz", "POST /push"}},
+		// The tenant server routes every method and path under a tenant.
+		{tenantSrv, []string{"GET /healthz", "POST /query", "DELETE /any/deeper/path"}},
+	}
+	const want = `{"error":"dist: unknown tenant \"nosuch\""}` + "\n"
+	for _, role := range roles {
+		for _, route := range role.routes {
+			method, path, _ := strings.Cut(route, " ")
+			rec := httptest.NewRecorder()
+			role.h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/nosuch"+path, strings.NewReader("{}")))
+			if rec.Code != http.StatusNotFound || rec.Body.String() != want {
+				t.Errorf("%T %s unknown tenant: %d %q, want 404 %q", role.h, route, rec.Code, rec.Body, want)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%T unknown tenant: %d, want 404", h, resp.StatusCode)
-		}
-		ts.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"privmdr/internal/atomicfile"
+	"privmdr/internal/loop"
 	"privmdr/internal/mech"
 )
 
@@ -52,9 +54,7 @@ type journal struct {
 	// recovery — so the journal wedges and every Append fails instead.
 	failed error
 
-	// relaxed-mode background syncer (nil channels in strict mode).
-	stop chan struct{}
-	done chan struct{}
+	syncer *loop.Loop // relaxed mode's background fsync; nil in strict mode
 }
 
 // openJournal opens (creating if absent) the journal at path, scans it, and
@@ -97,11 +97,14 @@ func openJournal(path string, syncInterval time.Duration) (j *journal, records [
 		return nil, nil, 0, err
 	}
 	j = &journal{path: path, f: f, size: int64(good)}
-	if syncInterval > 0 {
-		j.stop = make(chan struct{})
-		j.done = make(chan struct{})
-		go j.syncLoop(syncInterval)
-	}
+	j.syncer = loop.Start(syncInterval, false, func(context.Context) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.dirty {
+			_ = j.f.Sync()
+			j.dirty = false
+		}
+	})
 	return j, records, torn, nil
 }
 
@@ -135,7 +138,7 @@ func (j *journal) Append(payload []byte) error {
 		return err
 	}
 	j.size += int64(n)
-	if j.stop == nil {
+	if j.syncer == nil {
 		return j.f.Sync()
 	}
 	j.dirty = true
@@ -205,31 +208,9 @@ func (j *journal) CompactTo(off int64) error {
 	return nil
 }
 
-func (j *journal) syncLoop(interval time.Duration) {
-	defer close(j.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.stop:
-			return
-		case <-t.C:
-			j.mu.Lock()
-			if j.dirty {
-				_ = j.f.Sync()
-				j.dirty = false
-			}
-			j.mu.Unlock()
-		}
-	}
-}
-
 // Close stops the syncer, performs a final fsync, and closes the file.
 func (j *journal) Close() error {
-	if j.stop != nil {
-		close(j.stop)
-		<-j.done
-	}
+	j.syncer.Stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	_ = j.f.Sync()

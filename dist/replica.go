@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"privmdr"
+	"privmdr/internal/loop"
 )
 
 // Replica is the stateless query-serving role: it ingests nothing itself,
@@ -37,10 +38,7 @@ type Replica struct {
 	// aggregator is the catch-up pull base URL (empty disables pulling).
 	aggregator string
 	tr         *transport
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{} // closed when the poller exits; nil without one
+	poller     *loop.Loop // nil without a poll interval or aggregator
 }
 
 // ReplicaOptions configure the replica's catch-up behaviour.
@@ -111,7 +109,6 @@ func NewReplica(topo *Topology, opts ReplicaOptions) (*Replica, error) {
 		tenants:    make(map[string]*replicaTenant, len(topo.Tenants)),
 		aggregator: opts.Aggregator,
 		tr:         newTransport(opts.Timeout),
-		stop:       make(chan struct{}),
 	}
 	if rep.aggregator == "" {
 		rep.aggregator = topo.Aggregator
@@ -121,14 +118,19 @@ func NewReplica(topo *Topology, opts ReplicaOptions) (*Replica, error) {
 		rep.names = append(rep.names, tc.Name)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/{tenant}/epoch", rep.handleEpoch)
-	mux.HandleFunc("POST /v1/{tenant}/query", rep.handleQuery)
-	mux.HandleFunc("GET /v1/{tenant}/params", rep.handleParams)
-	mux.HandleFunc("GET /v1/{tenant}/healthz", rep.handleHealthz)
+	mux.Handle("POST /v1/{tenant}/epoch", byTenant(rep.tenants, rep.handleEpoch))
+	mux.Handle("POST /v1/{tenant}/query", byTenant(rep.tenants, rep.handleQuery))
+	mux.Handle("GET /v1/{tenant}/params", byTenant(rep.tenants, func(w http.ResponseWriter, _ *http.Request, t *replicaTenant) {
+		writeParams(w, t.proto)
+	}))
+	mux.Handle("GET /v1/{tenant}/healthz", byTenant(rep.tenants, rep.handleHealthz))
 	rep.mux = mux
-	if opts.Poll > 0 && rep.aggregator != "" {
-		rep.done = make(chan struct{})
-		go rep.pollLoop(opts.Poll)
+	// The slow-poll catch-up pulls once right away (the cold-start path),
+	// then once per tick. A failure is kept in healthz and retried next
+	// tick; a replica that cannot reach the aggregator keeps serving its
+	// current epoch.
+	if rep.aggregator != "" {
+		rep.poller = loop.Start(opts.Poll, true, func(ctx context.Context) { _ = rep.CatchUp(ctx) })
 	}
 	return rep, nil
 }
@@ -136,32 +138,12 @@ func NewReplica(topo *Topology, opts ReplicaOptions) (*Replica, error) {
 // ServeHTTP implements http.Handler.
 func (rep *Replica) ServeHTTP(w http.ResponseWriter, r *http.Request) { rep.mux.ServeHTTP(w, r) }
 
-// Close stops the catch-up poller.
+// Close stops the catch-up poller and cancels a pull in flight instead of
+// waiting out a slow aggregator; a cancelled pull installs nothing, and the
+// replica keeps serving its current epoch.
 func (rep *Replica) Close() error {
-	rep.stopOnce.Do(func() { close(rep.stop) })
-	if rep.done != nil {
-		<-rep.done
-	}
+	rep.poller.Stop()
 	return nil
-}
-
-// pollLoop is the slow-poll catch-up: one immediate pull (the cold-start
-// path), then one per tick. Errors are recorded in healthz and retried next
-// tick — a replica that cannot reach the aggregator keeps serving its
-// current epoch.
-func (rep *Replica) pollLoop(interval time.Duration) {
-	defer close(rep.done)
-	_ = rep.CatchUp(context.Background())
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rep.stop:
-			return
-		case <-t.C:
-			_ = rep.CatchUp(context.Background())
-		}
-	}
 }
 
 // CatchUp pulls GET /v1/{tenant}/epoch/latest from the aggregator for every
@@ -253,13 +235,7 @@ func (rep *Replica) Install(tenant string, st privmdr.CollectorState, epoch uint
 	return t.install(st, epoch)
 }
 
-func (rep *Replica) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := rep.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (rep *Replica) handleEpoch(w http.ResponseWriter, r *http.Request, t *replicaTenant) {
 	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, errStatus(err), err)
@@ -284,13 +260,7 @@ func (rep *Replica) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "reports": st.Received()})
 }
 
-func (rep *Replica) handleQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := rep.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (rep *Replica) handleQuery(w http.ResponseWriter, r *http.Request, t *replicaTenant) {
 	ep := t.cur.Load()
 	if ep == nil {
 		writeError(w, http.StatusServiceUnavailable,
@@ -300,23 +270,7 @@ func (rep *Replica) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ep.query.ServeHTTP(w, r)
 }
 
-func (rep *Replica) handleParams(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := rep.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
-	writeJSON(w, http.StatusOK, privmdr.ServerParams{Mechanism: t.proto.Name(), Params: t.proto.Params()})
-}
-
-func (rep *Replica) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := rep.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (rep *Replica) handleHealthz(w http.ResponseWriter, _ *http.Request, t *replicaTenant) {
 	status := ReplicaStatus{Role: "replica", Tenant: t.name, Mechanism: t.proto.Name()}
 	if ep := t.cur.Load(); ep != nil {
 		status.Serving = true

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"privmdr"
+	"privmdr/internal/loop"
 )
 
 // ShardOptions configure one ingest shard.
@@ -56,13 +57,7 @@ type Shard struct {
 	names   []string
 	mux     *http.ServeMux
 	tr      *transport
-
-	interval time.Duration
-	minPush  int
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{} // closed when the background pusher exits; nil without one
+	pusher  *loop.Loop // nil without a push interval
 }
 
 // shardTenant is one tenant's collector plus its push bookkeeping.
@@ -161,14 +156,11 @@ func NewShard(topo *Topology, opts ShardOptions) (*Shard, error) {
 		return nil, err
 	}
 	s := &Shard{
-		id:       opts.ID,
-		nonce:    newInstanceNonce(),
-		agg:      agg,
-		tenants:  make(map[string]*shardTenant, len(topo.Tenants)),
-		tr:       newTransport(opts.Timeout),
-		interval: opts.PushInterval,
-		minPush:  opts.MinPush,
-		stop:     make(chan struct{}),
+		id:      opts.ID,
+		nonce:   newInstanceNonce(),
+		agg:     agg,
+		tenants: make(map[string]*shardTenant, len(topo.Tenants)),
+		tr:      newTransport(opts.Timeout),
 	}
 	for _, tc := range topo.Tenants {
 		// Live mode with no refresher: reports are accepted forever and the
@@ -185,17 +177,30 @@ func NewShard(topo *Topology, opts ShardOptions) (*Shard, error) {
 		}
 		s.names = append(s.names, tc.Name)
 	}
+	// reports, params and state are the tenant's own QueryServer routes,
+	// prefix-stripped, so the pooled report decode serves unchanged.
+	viaQueryServer := byTenant(s.tenants, func(w http.ResponseWriter, r *http.Request, t *shardTenant) {
+		t.handler.ServeHTTP(w, r)
+	})
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/{tenant}/reports", s.delegate)
-	mux.HandleFunc("GET /v1/{tenant}/params", s.delegate)
-	mux.HandleFunc("GET /v1/{tenant}/state", s.delegate)
-	mux.HandleFunc("GET /v1/{tenant}/healthz", s.handleHealthz)
-	mux.HandleFunc("POST /v1/{tenant}/push", s.handlePush)
+	mux.Handle("POST /v1/{tenant}/reports", viaQueryServer)
+	mux.Handle("GET /v1/{tenant}/params", viaQueryServer)
+	mux.Handle("GET /v1/{tenant}/state", viaQueryServer)
+	mux.Handle("GET /v1/{tenant}/healthz", byTenant(s.tenants, s.handleHealthz))
+	mux.Handle("POST /v1/{tenant}/push", byTenant(s.tenants, s.handlePush))
 	s.mux = mux
-	if opts.PushInterval > 0 {
-		s.done = make(chan struct{})
-		go s.pushLoop()
-	}
+	// The background pusher ships each tenant's delta iff at least MinPush
+	// reports arrived since its last acknowledged push. A failure is kept
+	// in the tenant's healthz, and an unacknowledged envelope stays frozen
+	// and is retried verbatim while later reports queue behind it.
+	s.pusher = loop.Start(opts.PushInterval, false, func(ctx context.Context) {
+		for _, name := range s.names {
+			if ctx.Err() != nil {
+				return
+			}
+			_, _ = s.push(ctx, s.tenants[name], opts.MinPush)
+		}
+	})
 	return s, nil
 }
 
@@ -218,36 +223,14 @@ func (s *Shard) closeTenants() {
 	}
 }
 
-// Close stops the background pusher. Un-shipped deltas are not flushed —
-// call Flush first for a clean drain.
+// Close stops the background pusher and cancels a scheduled push in
+// flight instead of waiting out a slow aggregator; a cancelled envelope
+// stays frozen, as after any failed push. Un-shipped deltas are not
+// flushed — call Flush first for a clean drain.
 func (s *Shard) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	if s.done != nil {
-		<-s.done
-	}
+	s.pusher.Stop()
 	s.closeTenants()
 	return nil
-}
-
-// pushLoop is the background pusher: every interval it ships each tenant's
-// delta iff at least MinPush reports arrived since the last acknowledged
-// push. Failures are retained per tenant (ShardStatus.LastPushError); an
-// unacknowledged envelope stays frozen and is retried verbatim while later
-// reports accumulate behind it — nothing is lost, only delayed.
-func (s *Shard) pushLoop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			for _, name := range s.names {
-				_, _ = s.push(context.Background(), s.tenants[name], s.minPush)
-			}
-		}
-	}
 }
 
 // Flush forces a push for every tenant — the drain used at shutdown and by
@@ -452,26 +435,7 @@ func (s *Shard) recordErr(t *shardTenant, err error) error {
 	return err
 }
 
-// delegate routes a tenant endpoint to the tenant's QueryServer with the
-// /v1/{tenant} prefix stripped, so the inner handlers (pooled report
-// decode, state export) serve unchanged.
-func (s *Shard) delegate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := s.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
-	t.handler.ServeHTTP(w, r)
-}
-
-func (s *Shard) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := s.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (s *Shard) handleHealthz(w http.ResponseWriter, _ *http.Request, t *shardTenant) {
 	writeJSON(w, http.StatusOK, s.status(t))
 }
 
@@ -493,13 +457,7 @@ func (s *Shard) status(t *shardTenant) ShardStatus {
 	}
 }
 
-func (s *Shard) handlePush(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	t, ok := s.tenants[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
+func (s *Shard) handlePush(w http.ResponseWriter, r *http.Request, t *shardTenant) {
 	res, err := s.push(r.Context(), t, 0)
 	if err != nil {
 		writeError(w, pushErrStatus(err), err)

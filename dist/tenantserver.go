@@ -67,7 +67,9 @@ func NewTenantServer(topo *Topology, opts privmdr.LiveOptions) (*TenantServer, e
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/tenants", s.handleTenants)
-	mux.HandleFunc("/v1/{tenant}/{endpoint...}", s.route)
+	mux.Handle("/v1/{tenant}/{endpoint...}", byTenant(s.handlers, func(w http.ResponseWriter, r *http.Request, h http.Handler) {
+		h.ServeHTTP(w, r)
+	}))
 	s.mux = mux
 	return s, nil
 }
@@ -126,18 +128,6 @@ func (s *TenantServer) SaveSnapshots() error {
 		}
 	}
 	return nil
-}
-
-// route delegates /v1/{tenant}/... to the tenant's QueryServer with the
-// prefix stripped.
-func (s *TenantServer) route(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	h, ok := s.handlers[name]
-	if !ok {
-		unknownTenant(w, name)
-		return
-	}
-	h.ServeHTTP(w, r)
 }
 
 func (s *TenantServer) handleTenants(w http.ResponseWriter, r *http.Request) {

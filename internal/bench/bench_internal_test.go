@@ -289,3 +289,17 @@ func TestPerfPointCollectorHeap(t *testing.T) {
 		t.Fatalf("LHIO collector heap measured as 0 B: %+v", pt)
 	}
 }
+
+// TestPerfPointFinalizeWarms checks that finalize_ms counts the estimator
+// warm-up estimate_ms counts. HDG builds its Algorithm 1 response matrices
+// only when warmed, and that is most of its finalize, so a finalize timed
+// without it reads a small fraction of the refresh.
+func TestPerfPointFinalizeWarms(t *testing.T) {
+	pt, err := perfPoint("HDG", 20_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.FinalizeMillis < pt.EstimateMillis/4 {
+		t.Fatalf("HDG finalize_ms %.3f < estimate_ms/4 (%.3f / 4)", pt.FinalizeMillis, pt.EstimateMillis)
+	}
+}

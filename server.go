@@ -1,6 +1,7 @@
 package privmdr
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"privmdr/internal/atomicfile"
+	"privmdr/internal/loop"
 	"privmdr/internal/mech"
 )
 
@@ -86,9 +88,7 @@ type QueryServer struct {
 
 	coll Collector
 
-	live     bool
-	interval time.Duration
-	minNew   int
+	live bool
 
 	// refreshMu serializes estimator builds — background refreshes, forced
 	// refreshes, and finalize. Ingestion and queries never take it: reports
@@ -116,9 +116,7 @@ type QueryServer struct {
 	// racing the finalize is settled by the collector's own lock).
 	finalized atomic.Bool
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{} // closed when the background refresher exits; nil without one
+	refresher *loop.Loop // nil without a background refresh interval
 }
 
 // servingEpoch is one sealed estimator plus the metadata /healthz reports.
@@ -222,13 +220,10 @@ func newQueryServer(proto Protocol, live bool, opts LiveOptions) (*QueryServer, 
 		return nil, err
 	}
 	s := &QueryServer{
-		proto:    proto,
-		coll:     coll,
-		maxBody:  maxRequestBody,
-		live:     live,
-		interval: opts.Refresh,
-		minNew:   opts.MinNewReports,
-		stop:     make(chan struct{}),
+		proto:   proto,
+		coll:    coll,
+		maxBody: maxRequestBody,
+		live:    live,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -240,48 +235,28 @@ func newQueryServer(proto Protocol, live bool, opts LiveOptions) (*QueryServer, 
 	mux.HandleFunc("POST /finalize", s.handleFinalize)
 	mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux = mux
-	if live && opts.Refresh > 0 {
-		s.done = make(chan struct{})
-		go s.refreshLoop()
-	}
+	// The background refresher re-estimates iff at least MinNewReports
+	// reports arrived since the last epoch. A failed build keeps the
+	// previous epoch serving and is reported as last_refresh_error until a
+	// rebuild succeeds. After a finalize every tick's refresh returns the
+	// finalized error at once, and nothing is recorded.
+	s.refresher = loop.Start(opts.Refresh, false, func(context.Context) {
+		_, _, _ = s.refresh(opts.MinNewReports, false)
+	})
 	return s, nil
 }
 
 // ServeHTTP implements http.Handler.
 func (s *QueryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the background refresher, if one is running. It does not
-// finalize the collector or release the estimator — a closed server still
-// answers queries from its last epoch. Safe to call multiple times.
+// Close stops the background refresher, if one is running, and waits for
+// a scheduled refresh in flight to publish or fail (an estimator build:
+// bounded CPU work, no I/O). It does not finalize the collector or release
+// the estimator — a closed server still answers queries from its last
+// epoch. Safe to call multiple times.
 func (s *QueryServer) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	if s.done != nil {
-		<-s.done
-	}
+	s.refresher.Stop()
 	return nil
-}
-
-// refreshLoop is the background refresher: every interval it re-estimates
-// iff at least minNew reports arrived since the last epoch. A failed build
-// keeps the previous epoch serving; the failure is retained and reported as
-// last_refresh_error on GET /healthz (and returned by POST /refresh) until
-// a later rebuild succeeds. A finalize ends the loop's work but the ticker
-// stays cheap, so the loop just idles until Close.
-func (s *QueryServer) refreshLoop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			if s.finalized.Load() {
-				continue
-			}
-			_, _, _ = s.refresh(s.minNew, false)
-		}
-	}
 }
 
 // Refresh builds a fresh estimator from a point-in-time snapshot of the
