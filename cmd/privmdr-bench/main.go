@@ -8,15 +8,16 @@
 //	privmdr-bench -exp fig1 -scale default
 //	privmdr-bench -exp all -scale smoke -csv out/
 //	privmdr-bench -exp fig3 -mechs HDG,TDG,CALM -n 50000 -reps 2
-//	privmdr-bench -perf BENCH_PR10.json -scale smoke
 //
 // Scales: smoke (CI-sized), default (laptop-sized, n = 10⁵), paper
-// (n = 10⁶, 10 repeats, |Q| = 200 — hours of compute).
+// (n = 10⁶, 10 repeats, |Q| = 200 — hours of compute). An unknown scale
+// or mechanism name fails before any experiment runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,55 +27,40 @@ import (
 )
 
 func main() {
-	var (
-		list    = flag.Bool("list", false, "list experiments and exit")
-		exp     = flag.String("exp", "", "experiment id (figN, table2, ablation-*) or 'all'")
-		scale   = flag.String("scale", "default", "smoke | default | paper")
-		n       = flag.Int("n", 0, "override user count")
-		reps    = flag.Int("reps", 0, "override repetitions per point")
-		queries = flag.Int("queries", 0, "override workload size")
-		seed    = flag.Uint64("seed", 2020, "root random seed")
-		mechs   = flag.String("mechs", "", "comma-separated mechanism filter (e.g. HDG,TDG)")
-		csvDir  = flag.String("csv", "", "also write one CSV per panel into this directory")
-		perf    = flag.String("perf", "", "run the collector perf + HTTP saturation harness and write its JSON report to this path")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	if *perf != "" {
-		cfg := bench.RunConfig{Scale: bench.Scale(*scale), Seed: *seed}
-		if *mechs != "" {
-			for _, m := range strings.Split(*mechs, ",") {
-				cfg.Mechs = append(cfg.Mechs, strings.TrimSpace(m))
-			}
-		}
-		report, err := bench.RunPerf(os.Stdout, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*perf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := report.WritePerfJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *perf)
-		return
+// run parses args, rejects unknown -scale and -mechs values before any
+// experiment starts, and renders the selected experiments to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("privmdr-bench", flag.ExitOnError)
+	var (
+		list    = fs.Bool("list", false, "list experiments and exit")
+		exp     = fs.String("exp", "", "experiment id (figN, table2, ablation-*) or 'all'")
+		scale   = fs.String("scale", "default", "smoke | default | paper")
+		n       = fs.Int("n", 0, "override user count")
+		reps    = fs.Int("reps", 0, "override repetitions per point")
+		queries = fs.Int("queries", 0, "override workload size")
+		seed    = fs.Uint64("seed", 2020, "root random seed")
+		mechs   = fs.String("mechs", "", "comma-separated mechanism filter (e.g. HDG,TDG)")
+		csvDir  = fs.String("csv", "", "also write one CSV per panel into this directory")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *list || *exp == "" {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range bench.Registry() {
-			fmt.Printf("  %-22s %-28s %s\n", e.ID, e.Paper, e.Title)
+			fmt.Fprintf(stdout, "  %-22s %-28s %s\n", e.ID, e.Paper, e.Title)
 		}
 		if *exp == "" && !*list {
-			fmt.Println("\nrun one with: privmdr-bench -exp <id> [-scale smoke|default|paper]")
+			fmt.Fprintln(stdout, "\nrun one with: privmdr-bench -exp <id> [-scale smoke|default|paper]")
 		}
-		return
+		return nil
 	}
 
 	cfg := bench.RunConfig{
@@ -89,6 +75,9 @@ func main() {
 			cfg.Mechs = append(cfg.Mechs, strings.TrimSpace(m))
 		}
 	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
 	var todo []bench.Experiment
 	if strings.EqualFold(*exp, "all") {
@@ -97,8 +86,7 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			e, err := bench.ByID(strings.TrimSpace(id))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			todo = append(todo, e)
 		}
@@ -106,26 +94,24 @@ func main() {
 
 	for _, e := range todo {
 		start := time.Now()
-		fmt.Printf("=== %s (%s) — %s\n", e.ID, e.Paper, e.Title)
+		fmt.Fprintf(stdout, "=== %s (%s) — %s\n", e.ID, e.Paper, e.Title)
 		results, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
 		for pi, r := range results {
-			if err := r.Render(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := r.Render(stdout); err != nil {
+				return err
 			}
 			if *csvDir != "" {
 				if err := writeCSV(*csvDir, e.ID, pi, r); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return err
 				}
 			}
 		}
-		fmt.Printf("=== %s done in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "=== %s done in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 func writeCSV(dir, id string, panel int, r *bench.Result) error {

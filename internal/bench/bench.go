@@ -38,6 +38,23 @@ type RunConfig struct {
 	Mechs   []string // restrict mechanisms (paper names); nil → experiment default
 }
 
+// Validate rejects a scale or mechanism name the harness does not know,
+// listing the known values: unchecked, an unknown scale would run the
+// default one and an unknown mechanism would drop out of every table.
+func (c RunConfig) Validate() error {
+	switch c.Scale {
+	case "", Smoke, Default, Paper:
+	default:
+		return fmt.Errorf("bench: unknown scale %q (known: %s, %s, %s)", c.Scale, Smoke, Default, Paper)
+	}
+	for _, m := range c.Mechs {
+		if _, err := newMech(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (c RunConfig) scale() Scale {
 	switch c.Scale {
 	case Smoke, Default, Paper:

@@ -274,32 +274,3 @@ func TestEvalPointSkipsInfeasible(t *testing.T) {
 		t.Error("skip should leave a note")
 	}
 }
-
-// TestPerfPointCollectorHeap checks that the perf harness's heap column
-// measures the collector: LHIO's count vectors (~240 KB at d = 3, c = 64)
-// must show up even though the input reports (~640 KB at n = 20000) are no
-// longer needed once ingested. If those reports are collected inside the
-// measurement, the column reads 0.
-func TestPerfPointCollectorHeap(t *testing.T) {
-	pt, err := perfPoint("LHIO", 20_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.CollectorHeapBytes == 0 {
-		t.Fatalf("LHIO collector heap measured as 0 B: %+v", pt)
-	}
-}
-
-// TestPerfPointFinalizeWarms checks that finalize_ms counts the estimator
-// warm-up estimate_ms counts. HDG builds its Algorithm 1 response matrices
-// only when warmed, and that is most of its finalize, so a finalize timed
-// without it reads a small fraction of the refresh.
-func TestPerfPointFinalizeWarms(t *testing.T) {
-	pt, err := perfPoint("HDG", 20_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.FinalizeMillis < pt.EstimateMillis/4 {
-		t.Fatalf("HDG finalize_ms %.3f < estimate_ms/4 (%.3f / 4)", pt.FinalizeMillis, pt.EstimateMillis)
-	}
-}

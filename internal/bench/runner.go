@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"sync"
 
 	"privmdr/internal/baselines"
@@ -44,7 +45,7 @@ func newMech(name string) (mech.Mechanism, error) {
 	case "IHDG":
 		return core.NewHDG(core.Options{SkipPostProcess: true}), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown mechanism %q", name)
+		return nil, fmt.Errorf("bench: unknown mechanism %q (known: %s, ITDG, IHDG)", name, strings.Join(allMechNames, ", "))
 	}
 }
 

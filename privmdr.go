@@ -91,8 +91,8 @@
 // and examples/sharded for the multi-shard topology.
 //
 // See PROTOCOL.md for the deployment topology (who knows Params, what
-// crosses the wire), examples/ for full programs, and EXPERIMENTS.md for
-// the reproduction of every figure and table in the paper.
+// crosses the wire), examples/ for full programs, and `privmdr-bench -list`
+// (experiments in internal/bench) for every figure and table in the paper.
 package privmdr
 
 import (

@@ -75,16 +75,17 @@ func BenchmarkReportsDecode(b *testing.B) {
 	}
 }
 
-// ingestFixture builds a live TDG collector plus one encoded frame of n
-// valid reports for it — the full POST /reports steady state: body read,
-// batch decode, vet, run-partition, batch fold.
-func ingestFixture(tb testing.TB, n int) (Collector, []byte) {
+// ingestFixture builds a live collector of the named mechanism over d
+// attributes plus one encoded frame of n valid reports for it — the full
+// POST /reports steady state: body read, batch decode, vet, run-partition,
+// batch fold.
+func ingestFixture(tb testing.TB, name string, d, n int) (Collector, []byte) {
 	tb.Helper()
-	m, err := mechByName("TDG")
+	m, err := mechByName(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := Params{N: n, D: 3, C: 64, Eps: 1, Seed: 9}
+	p := Params{N: n, D: d, C: 64, Eps: 1, Seed: 9}
 	proto, err := m.Protocol(p)
 	if err != nil {
 		tb.Fatal(err)
@@ -93,7 +94,7 @@ func ingestFixture(tb testing.TB, n int) (Collector, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	record := []int{5, 17, 42}
+	record := []int{5, 17, 42}[:d]
 	rs := make([]Report, n)
 	for u := range rs {
 		a, err := proto.Assignment(u)
@@ -114,28 +115,37 @@ func ingestFixture(tb testing.TB, n int) (Collector, []byte) {
 
 // TestBatchedIngestZeroAlloc pins the whole warm ingest path — frame read,
 // batch decode, vetting, run partitioning, and per-run batch folding into a
-// streaming (TDG) collector — at zero allocations per request. This is the
-// end-to-end guarantee behind the saturation numbers: once the pools are
-// warm, sustained POST /reports traffic creates no garbage.
+// streaming collector — at zero allocations per request, for every
+// mechanism. Once the pools are warm, sustained POST /reports traffic
+// creates no garbage, and a collector's heap cannot grow with the number
+// of reports it has folded. HIO runs at d = 2: at d = 3 and c = 64 its
+// deepest groups pass the streaming cap and keep their reports by design.
 func TestBatchedIngestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	coll, frame := ingestFixture(t, 4096)
-	src := bytes.NewReader(frame)
-	fr := &reportFrame{}
-	submit := func() {
-		src.Reset(frame)
-		decodeFrame(t, src, fr)
-		if err := coll.SubmitBatch(fr.batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submit() // warm the buffers and pools once
+	for _, tc := range []struct {
+		mech string
+		d    int
+	}{{"Uni", 3}, {"MSW", 3}, {"CALM", 3}, {"HIO", 2}, {"LHIO", 3}, {"TDG", 3}, {"HDG", 3}} {
+		t.Run(tc.mech, func(t *testing.T) {
+			coll, frame := ingestFixture(t, tc.mech, tc.d, 4096)
+			src := bytes.NewReader(frame)
+			fr := &reportFrame{}
+			submit := func() {
+				src.Reset(frame)
+				decodeFrame(t, src, fr)
+				if err := coll.SubmitBatch(fr.batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit() // warm the buffers and pools once
 
-	allocs := testing.AllocsPerRun(50, submit)
-	if allocs != 0 {
-		t.Errorf("warm batched ingest allocates %g objects/op, want 0", allocs)
+			allocs := testing.AllocsPerRun(50, submit)
+			if allocs != 0 {
+				t.Errorf("warm batched ingest allocates %g objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -200,7 +210,7 @@ func TestReportFramePoolDropsOversizedFrames(t *testing.T) {
 // BenchmarkBatchedIngest measures the warm decode+submit path end to end
 // for one 4096-report frame against a streaming TDG collector.
 func BenchmarkBatchedIngest(b *testing.B) {
-	coll, frame := ingestFixture(b, 4096)
+	coll, frame := ingestFixture(b, "TDG", 3, 4096)
 	src := bytes.NewReader(frame)
 	fr := &reportFrame{}
 	b.ReportAllocs()

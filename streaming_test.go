@@ -97,41 +97,81 @@ func answersOf(t *testing.T, coll privmdr.Collector, qs []privmdr.Query) []float
 }
 
 // TestStreamingSnapshotIsCompact pins the memory story the streaming
-// collectors buy on the wire: for a counting mechanism, the encoded v2
-// state is O(domain) and therefore much smaller than the O(n) v1 multiset
-// of the same deployment once n dominates the domain.
+// collectors buy on the wire, for every mechanism. One deployment's
+// encoded state after a quarter and after all of its reports has the same
+// groups and count-vector lengths, with no group keeping reports, and its
+// bytes grow by at most one per count slot plus one per group: a varint
+// count gains at most one byte when it grows fourfold. The final state is
+// also much smaller than the O(n) v1 multiset of the same reports. HIO
+// runs at d = 2: at d = 3 and c = 64 its deepest groups pass the streaming
+// cap and keep their reports, so its state grows with n by design.
 func TestStreamingSnapshotIsCompact(t *testing.T) {
-	ds := protocolDataset(t)
-	p := privmdr.Params{N: ds.N(), D: ds.D(), C: ds.C, Eps: 1.0, Seed: 105}
-	proto, err := privmdr.NewTDG().Protocol(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := makeReports(t, proto, ds)
-	coll, err := proto.NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coll.SubmitBatch(reports); err != nil {
-		t.Fatal(err)
-	}
-	st, err := coll.(privmdr.StatefulCollector).State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Blob, err := privmdr.EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grouped := make([][]privmdr.Report, proto.NumGroups())
-	for _, r := range reports {
-		grouped[r.Group] = append(grouped[r.Group], r)
-	}
-	v1Blob, err := privmdr.EncodeState(privmdr.CollectorState{Version: 1, Mech: proto.Name(), Params: p, Groups: grouped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v2Blob)*4 > len(v1Blob) {
-		t.Fatalf("v2 snapshot %d bytes not substantially smaller than v1 %d bytes", len(v2Blob), len(v1Blob))
+	const n = 80_000
+	for _, tc := range []struct {
+		mech string
+		d    int
+	}{{"Uni", 3}, {"MSW", 3}, {"CALM", 3}, {"HIO", 2}, {"LHIO", 3}, {"TDG", 3}, {"HDG", 3}} {
+		t.Run(tc.mech, func(t *testing.T) {
+			ds, err := privmdr.GenerateDataset("normal", privmdr.GenOptions{N: n, D: tc.d, C: 64, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := privmdr.Params{N: n, D: tc.d, C: 64, Eps: 1.0, Seed: 105}
+			proto, err := privmdr.ProtocolByName(tc.mech, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports := makeReports(t, proto, ds)
+			coll, err := proto.NewCollector()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot := func(batch []privmdr.Report) (privmdr.CollectorState, []byte) {
+				if err := coll.SubmitBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				st, err := coll.(privmdr.StatefulCollector).State()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := privmdr.EncodeState(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st, blob
+			}
+			quarter, quarterBlob := snapshot(reports[:n/4])
+			full, fullBlob := snapshot(reports[n/4:])
+			if len(full.Counts) != len(quarter.Counts) {
+				t.Fatalf("state has %d groups after n reports, %d after n/4", len(full.Counts), len(quarter.Counts))
+			}
+			slots := 0
+			for g, gc := range full.Counts {
+				if len(gc.Reports) != 0 || len(quarter.Counts[g].Reports) != 0 {
+					t.Fatalf("group %d keeps reports (%d after n/4, %d after n)", g, len(quarter.Counts[g].Reports), len(gc.Reports))
+				}
+				if len(gc.Counts) != len(quarter.Counts[g].Counts) {
+					t.Fatalf("group %d has %d counts after n reports, %d after n/4", g, len(gc.Counts), len(quarter.Counts[g].Counts))
+				}
+				slots += len(gc.Counts)
+			}
+			if grown := len(fullBlob) - len(quarterBlob); grown > slots+len(full.Counts) {
+				t.Errorf("state grew %d → %d bytes from n/4 to n reports, more than one per count slot (%d) plus one per group (%d)",
+					len(quarterBlob), len(fullBlob), slots, len(full.Counts))
+			}
+
+			grouped := make([][]privmdr.Report, proto.NumGroups())
+			for _, r := range reports {
+				grouped[r.Group] = append(grouped[r.Group], r)
+			}
+			v1Blob, err := privmdr.EncodeState(privmdr.CollectorState{Version: 1, Mech: proto.Name(), Params: p, Groups: grouped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fullBlob)*4 > len(v1Blob) {
+				t.Fatalf("v2 snapshot %d bytes not substantially smaller than v1 %d bytes", len(fullBlob), len(v1Blob))
+			}
+			t.Logf("%d groups, %d count slots: %d bytes after n/4, %d after n (v1: %d)", len(full.Counts), slots, len(quarterBlob), len(fullBlob), len(v1Blob))
+		})
 	}
 }
