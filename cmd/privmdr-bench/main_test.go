@@ -54,7 +54,17 @@ func TestUnknownScaleOrMechanismFails(t *testing.T) {
 			t.Errorf("%v: wrote output before rejecting the flags:\n%s", tc.args, out.String())
 		}
 	}
+	// A known mechanism the experiment does not plot leaves it with none:
+	// that must fail instead of printing tables without a series.
 	var out bytes.Buffer
+	err := run([]string{"-exp", "fig5", "-scale", "smoke", "-mechs", "ITDG"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "selects none of this experiment's mechanisms") {
+		t.Errorf("fig5 with -mechs ITDG: error %v, want an empty-selection error", err)
+	}
+	if strings.Contains(out.String(), "## ") {
+		t.Errorf("fig5 with -mechs ITDG printed a table:\n%s", out.String())
+	}
+	out.Reset()
 	if err := run([]string{"-exp", "table2", "-scale", "smoke", "-mechs", "ITDG,IHDG"}, &out); err != nil {
 		t.Fatalf("known mechanisms ITDG and IHDG rejected: %v", err)
 	}

@@ -106,9 +106,8 @@ func (pr *mswProtocol) NewCollector() (mech.Collector, error) {
 	}
 	specs := make([]mech.GroupSpec, pr.p.D)
 	spec := mech.GroupSpec{
-		Len:  pr.wave.B,
-		Fold: func(r mech.Report, counts []int64) { counts[r.Value]++ },
-		FoldBatch: func(rs []mech.Report, counts []int64) {
+		Len: pr.wave.B,
+		Fold: func(rs []mech.Report, counts []int64) {
 			for i := range rs {
 				counts[rs[i].Value]++
 			}

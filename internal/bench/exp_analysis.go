@@ -181,7 +181,7 @@ func runFullWorkload(cfg RunConfig, id, paperRef string, marginals bool) ([]*Res
 	if !marginals {
 		mechNames = allMechNames
 	}
-	mechs, err := standardMechs(cfg.filterMechs(mechNames))
+	mechs, err := cfg.selectMechs(mechNames)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +246,7 @@ func runCountFiltered(cfg RunConfig, id, paperRef string, filter query.CountFilt
 	if cfg.scale() != Paper {
 		lambdas = []int{6, 8, 10}
 	}
-	mechs, err := standardMechs(cfg.filterMechs(noHIONames))
+	mechs, err := cfg.selectMechs(noHIONames)
 	if err != nil {
 		return nil, err
 	}

@@ -296,7 +296,7 @@ func runFig5(cfg RunConfig) ([]*Result, error) {
 	if cfg.scale() == Smoke {
 		lambdas = []int{2, 4, 6}
 	}
-	mechs, err := standardMechs(cfg.filterMechs(noHIONames))
+	mechs, err := cfg.selectMechs(noHIONames)
 	if err != nil {
 		return nil, err
 	}

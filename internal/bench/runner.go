@@ -89,6 +89,18 @@ type namedMech struct {
 	m    mech.Mechanism
 }
 
+// selectMechs builds the experiment's default mechanisms that pass the
+// user's -mechs restriction, and fails when none does: an experiment left
+// with no mechanism would print tables without a single series.
+func (c RunConfig) selectMechs(defaults []string) ([]namedMech, error) {
+	names := c.filterMechs(defaults)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("bench: mechanism filter %s selects none of this experiment's mechanisms (%s)",
+			strings.Join(c.Mechs, ","), strings.Join(defaults, ", "))
+	}
+	return standardMechs(names)
+}
+
 // standardMechs resolves paper names into namedMechs.
 func standardMechs(names []string) ([]namedMech, error) {
 	out := make([]namedMech, 0, len(names))
@@ -283,12 +295,9 @@ type sweepPoint struct {
 // maePanels runs the standard sweep shape shared by most figures: for every
 // dataset, one Result panel per λ, sweeping the given points on the x-axis.
 func maePanels(cfg RunConfig, id, paperRef string, datasets []string, lambdas []int, mechNames []string, xlabel string, points []sweepPoint) ([]*Result, error) {
-	mechs, err := standardMechs(cfg.filterMechs(mechNames))
+	mechs, err := cfg.selectMechs(mechNames)
 	if err != nil {
 		return nil, err
-	}
-	if len(mechs) == 0 {
-		return nil, fmt.Errorf("bench: no mechanisms selected")
 	}
 	cache := make(dsCache)
 	var results []*Result

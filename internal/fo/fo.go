@@ -367,23 +367,3 @@ func (o *OLH) Var(n int) float64 {
 	d := o.p - q
 	return q * (1 - q) / (float64(n) * d * d)
 }
-
-// NewAdaptive returns GRR when the domain is small enough that GRR has lower
-// variance (c − 2 < 3e^ε, Section 2.2), and OLH otherwise.
-func NewAdaptive(eps float64, c int) (Oracle, error) {
-	if float64(c)-2 < 3*math.Exp(eps) {
-		return NewGRR(eps, c)
-	}
-	return NewOLH(eps, c)
-}
-
-// PerturbAll runs Perturb over a whole group of values with one rng,
-// returning a report per value. It exists so mechanisms keep their user loop
-// in one obvious place.
-func PerturbAll(o Oracle, values []int, rng *rand.Rand) []Report {
-	reports := make([]Report, len(values))
-	for i, v := range values {
-		reports[i] = o.Perturb(v, rng)
-	}
-	return reports
-}

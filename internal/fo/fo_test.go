@@ -293,16 +293,17 @@ func TestFWHTInvolution(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSelection pins NewAuto's GRR/OLH switch, the adaptive
+// oracle of Section 2.2: c − 2 < 3e^ε ⇒ GRR.
 func TestAdaptiveSelection(t *testing.T) {
-	// c − 2 < 3e^ε ⇒ GRR.
-	o, err := NewAdaptive(1.0, 4)
+	o, err := NewAuto(1.0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Name() != "grr" {
 		t.Errorf("small domain should use GRR, got %s", o.Name())
 	}
-	o, err = NewAdaptive(1.0, 64)
+	o, err = NewAuto(1.0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +311,11 @@ func TestAdaptiveSelection(t *testing.T) {
 		t.Errorf("large domain should use OLH, got %s", o.Name())
 	}
 	// The crossover point: 3e^1 ≈ 8.15, so c = 10 → GRR, c = 11 → OLH.
-	o, _ = NewAdaptive(1.0, 10)
+	o, _ = NewAuto(1.0, 10)
 	if o.Name() != "grr" {
 		t.Errorf("c=10 at eps=1 should be GRR, got %s", o.Name())
 	}
-	o, _ = NewAdaptive(1.0, 11)
+	o, _ = NewAuto(1.0, 11)
 	if o.Name() != "olh" {
 		t.Errorf("c=11 at eps=1 should be OLH, got %s", o.Name())
 	}
@@ -373,20 +374,6 @@ func TestEmptyReports(t *testing.T) {
 	}
 	if !math.IsInf(g.Var(0), 1) {
 		t.Error("Var(0) should be +Inf")
-	}
-}
-
-func TestPerturbAll(t *testing.T) {
-	g, _ := NewGRR(1, 4)
-	rng := ldprand.New(10)
-	reports := PerturbAll(g, []int{0, 1, 2, 3}, rng)
-	if len(reports) != 4 {
-		t.Fatalf("got %d reports, want 4", len(reports))
-	}
-	for _, r := range reports {
-		if r.Value < 0 || r.Value >= 4 {
-			t.Errorf("report value %d outside domain", r.Value)
-		}
 	}
 }
 

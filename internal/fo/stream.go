@@ -9,13 +9,14 @@ import (
 
 // This file is the streaming face of the frequency oracles: every counting
 // oracle's EstimateAll factors through a fixed-size integer sufficient
-// statistic, so an aggregator can fold each report into a count vector as it
-// arrives and discard the report — O(domain) memory instead of O(n), with a
-// finalize that reads the vector instead of rescanning every report.
+// statistic, so an aggregator can fold each run of reports into a count
+// vector as it arrives and discard the reports — O(domain) memory instead of
+// O(n), with a finalize that reads the vector instead of rescanning every
+// report.
 //
-//   - GRR: per-value bucket counts; folding is one increment.
+//   - GRR: per-value bucket counts; folding is one increment per report.
 //   - OLH: the per-value support vector (how many reports hash-match each
-//     domain value). Folding one report costs Θ(c) hash evaluations — the
+//     domain value). Folding costs Θ(c) hash evaluations per report — the
 //     same Θ(n·c) total work Support spends at finalize, but spread across
 //     the ingest path where submissions to different groups already run in
 //     parallel.
@@ -27,9 +28,9 @@ import (
 // from a folded vector are bit-identical to EstimateAll over the same report
 // multiset (EstimateCounts on each oracle states the argument).
 
-// Folder folds one oracle's reports into its integer sufficient statistic.
-// Build one per oracle with NewFolder and share it across groups: Fold and
-// FoldBatch are stateless (all state lives in the caller's count vector), so
+// Folder folds runs of one oracle's reports into its integer sufficient
+// statistic. Build one per oracle with NewFolder and share it across groups:
+// FoldBatch is stateless (all state lives in the caller's count vector), so
 // a Folder is safe for concurrent use as long as concurrent calls target
 // distinct count vectors. The sharded collector leans on exactly this: one
 // group's writers fold through the same Folder into per-stripe vectors in
@@ -38,22 +39,20 @@ import (
 // NewFolder).
 type Folder struct {
 	statLen   int
-	fold      func(Report, []int64)
 	foldBatch func([]Report, []int64)
 	estimate  func([]int64, int) []float64
 }
 
 // NewFolder returns the streaming statistic for a counting oracle. Every
 // oracle this package constructs (GRR, OLH, Hadamard — and therefore
-// anything NewAdaptive or NewAuto returns) supports it; a non-counting
-// oracle from outside the package is reported as an error so callers can
-// fall back to retaining reports.
+// anything NewAuto returns) supports it; a non-counting oracle from outside
+// the package is reported as an error so callers can fall back to retaining
+// reports.
 func NewFolder(o Oracle) (*Folder, error) {
 	switch o := o.(type) {
 	case *GRR:
 		return &Folder{
 			statLen:   o.c,
-			fold:      func(r Report, counts []int64) { grrFold(r, counts, o.c) },
 			foldBatch: func(rs []Report, counts []int64) { grrFoldBatch(rs, counts, o.c) },
 			estimate:  o.EstimateCounts,
 		}, nil
@@ -65,7 +64,6 @@ func NewFolder(o Oracle) (*Folder, error) {
 		g := o.gw
 		return &Folder{
 			statLen:   o.c,
-			fold:      func(r Report, counts []int64) { olhFold(r, counts, hv, g) },
 			foldBatch: func(rs []Report, counts []int64) { olhFoldBatch(rs, counts, hv, g) },
 			estimate:  o.EstimateCounts,
 		}, nil
@@ -73,7 +71,6 @@ func NewFolder(o Oracle) (*Folder, error) {
 		k := uint64(o.k)
 		return &Folder{
 			statLen:   o.k,
-			fold:      func(r Report, counts []int64) { hadamardFold(r, counts, k) },
 			foldBatch: func(rs []Report, counts []int64) { hadamardFoldBatch(rs, counts, k) },
 			estimate:  o.EstimateCounts,
 		}, nil
@@ -81,16 +78,9 @@ func NewFolder(o Oracle) (*Folder, error) {
 	return nil, fmt.Errorf("fo: oracle %s has no streaming sufficient statistic", o.Name())
 }
 
-// grrFold mirrors EstimateAll's guard: an out-of-range value contributes to
-// n but to no bucket.
-func grrFold(r Report, counts []int64, c int) {
-	if r.Value >= 0 && r.Value < c {
-		counts[r.Value]++
-	}
-}
-
-// grrFoldBatch is the batch-native GRR fold: one increment per report in a
-// tight loop with no per-report closure dispatch.
+// grrFoldBatch is the GRR fold: one increment per report in a tight loop.
+// It mirrors EstimateAll's guard: an out-of-range value contributes to n but
+// to no bucket.
 func grrFoldBatch(rs []Report, counts []int64, c int) {
 	for i := range rs {
 		if v := rs[i].Value; v >= 0 && v < c {
@@ -99,27 +89,17 @@ func grrFoldBatch(rs []Report, counts []int64, c int) {
 	}
 }
 
-// olhFold adds one report's support contribution: for each domain value v,
-// counts[v]++ iff the report's seeded hash lands on its value.
-func olhFold(r Report, counts []int64, hv []uint64, g uint64) {
-	seed, val := r.Seed, r.Value
-	counts = counts[:len(hv)] // hoist the bounds check out of the loop
-	for v, h := range hv {
-		if hb, _ := bits.Mul64(ldprand.SplitMix64(seed^h), g); int(hb) == val {
-			counts[v]++
-		}
-	}
-}
-
-// olhFoldBatch folds a whole same-oracle run value-outer/report-inner — the
-// same cache order supportRange uses at finalize: for each domain value the
-// inner loop streams sequentially through the run with the value's inner
-// hash and the Lemire reducer in registers, and the per-value tally lands
-// in counts once instead of once per matching report. Values go two at a
-// time so each pass shares the run's loads between two independent hash
-// chains, and the match increments are written branchlessly (a report
-// matches ~1/g of the time, the worst case for a predictor). Bit-identical
-// to folding the run report by report (integer adds commute).
+// olhFoldBatch adds a run's support: for each domain value v, counts[v]
+// gains the number of reports whose seeded hash lands on their value. The
+// loop nest is value-outer/report-inner — the same cache order supportRange
+// uses at finalize: for each domain value the inner loop streams
+// sequentially through the run with the value's inner hash and the Lemire
+// reducer in registers, and the per-value tally lands in counts once
+// instead of once per matching report. Values go two at a time so each
+// pass shares the run's loads between two independent hash chains, and the
+// match increments are written branchlessly (a report matches ~1/g of the
+// time, the worst case for a predictor). Bit-identical however the report
+// stream is cut into runs (integer adds commute).
 func olhFoldBatch(rs []Report, counts []int64, hv []uint64, g uint64) {
 	counts = counts[:len(hv)] // hoist the bounds check out of the loop nest
 	v := 0
@@ -158,15 +138,8 @@ func olhFoldBatch(rs []Report, counts []int64, hv []uint64, g uint64) {
 	}
 }
 
-// hadamardFold mirrors EstimateAll's guard on the row index.
-func hadamardFold(r Report, counts []int64, k uint64) {
-	if r.Seed < k {
-		counts[r.Seed] += int64(1 - 2*r.Value)
-	}
-}
-
-// hadamardFoldBatch is the batch-native Hadamard fold: one signed increment
-// per report.
+// hadamardFoldBatch is the Hadamard fold: one signed increment per report,
+// with EstimateAll's guard on the row index.
 func hadamardFoldBatch(rs []Report, counts []int64, k uint64) {
 	for i := range rs {
 		if rs[i].Seed < k {
@@ -175,20 +148,16 @@ func hadamardFoldBatch(rs []Report, counts []int64, k uint64) {
 	}
 }
 
-// StatLen is the length of the count vector Fold expects.
+// StatLen is the length of the count vector FoldBatch expects.
 func (f *Folder) StatLen() int { return f.statLen }
 
-// Fold adds one report's contribution to counts (length StatLen). The
-// report must have passed the oracle's CheckReport — Fold trusts its fields
-// the same way EstimateAll trusts a collected report.
-func (f *Folder) Fold(r Report, counts []int64) { f.fold(r, counts) }
-
-// FoldBatch adds a whole run of (vetted) reports to counts in one call —
-// the batch-native ingest path. The result is bit-identical to calling Fold
-// on each report in order: every statistic is a vector of commuting integer
-// adds. What changes is the loop shape: the per-report closure dispatch
-// disappears, bounds checks hoist out of the inner loops, and OLH flips to
-// the value-outer/report-inner nest Support uses at finalize.
+// FoldBatch adds a run of reports to counts (length StatLen) — a run of any
+// length, from one report up. The reports must have passed the oracle's
+// CheckReport: FoldBatch trusts their fields the same way EstimateAll trusts
+// a collected report. Every statistic is a vector of commuting integer adds,
+// so the counts do not depend on how the report stream was cut into runs;
+// within a run, bounds checks hoist out of the inner loops and OLH runs the
+// value-outer/report-inner nest Support uses at finalize.
 func (f *Folder) FoldBatch(rs []Report, counts []int64) { f.foldBatch(rs, counts) }
 
 // Estimate converts a folded statistic over n reports into frequency

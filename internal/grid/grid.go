@@ -259,30 +259,3 @@ func (g *Grid2D) massBelow(x, y boundary) float64 {
 	s00, s10, s01, s11 := p.At(x.i, y.i), p.At(x.i1, y.i), p.At(x.i, y.i1), p.At(x.i1, y.i1)
 	return s00 + x.t*(s10-s00) + y.t*(s01-s00) + x.t*y.t*(s11-s10-s01+s00)
 }
-
-// RowMarginal returns the G-vector of row sums (the grid's marginal on its
-// first attribute at granularity G).
-func (g *Grid2D) RowMarginal() []float64 {
-	m := make([]float64, g.G)
-	for r := 0; r < g.G; r++ {
-		s := 0.0
-		for c := 0; c < g.G; c++ {
-			s += g.Freq[r*g.G+c]
-		}
-		m[r] = s
-	}
-	return m
-}
-
-// ColMarginal returns the G-vector of column sums.
-func (g *Grid2D) ColMarginal() []float64 {
-	m := make([]float64, g.G)
-	for c := 0; c < g.G; c++ {
-		s := 0.0
-		for r := 0; r < g.G; r++ {
-			s += g.Freq[r*g.G+c]
-		}
-		m[c] = s
-	}
-	return m
-}

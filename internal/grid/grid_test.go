@@ -185,23 +185,6 @@ func TestGrid2DAnswerUniformExact(t *testing.T) {
 	}
 }
 
-func TestGrid2DMarginals(t *testing.T) {
-	g, _ := NewGrid2D(8, 2)
-	g.Freq = []float64{0.1, 0.2, 0.3, 0.4}
-	rows := g.RowMarginal()
-	cols := g.ColMarginal()
-	if math.Abs(rows[0]-0.3) > 1e-12 || math.Abs(rows[1]-0.7) > 1e-12 {
-		t.Errorf("RowMarginal = %v", rows)
-	}
-	if math.Abs(cols[0]-0.4) > 1e-12 || math.Abs(cols[1]-0.6) > 1e-12 {
-		t.Errorf("ColMarginal = %v", cols)
-	}
-	// Both marginals conserve total mass.
-	if math.Abs(rows[0]+rows[1]-(cols[0]+cols[1])) > 1e-12 {
-		t.Error("marginals disagree on total mass")
-	}
-}
-
 func TestGrid2DGranularityOne(t *testing.T) {
 	// The degenerate 1×1 grid is legal (the guideline can clamp to tiny
 	// grids at very low epsilon) and answers everything by uniformity.

@@ -1,11 +1,10 @@
 // Package mathx contains the small numeric kernels the rest of the module
-// builds on: power-of-two rounding for the granularity guideline, Cholesky
-// factorization for correlated synthetic data, inverse CDFs for copula
-// sampling, and 1-D/2-D prefix sums for O(1) range aggregation.
+// builds on: power-of-two rounding for the granularity guideline, inverse
+// CDFs for copula sampling, and 1-D/2-D prefix sums for O(1) range
+// aggregation.
 package mathx
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -39,61 +38,6 @@ func RoundPow2(x float64, cap int) int {
 // IsPow2 reports whether v is a positive power of two.
 func IsPow2(v int) bool {
 	return v > 0 && v&(v-1) == 0
-}
-
-// Log2Int returns log2(v) for a power of two v, and an error otherwise.
-func Log2Int(v int) (int, error) {
-	if !IsPow2(v) {
-		return 0, fmt.Errorf("mathx: %d is not a power of two", v)
-	}
-	k := 0
-	for v > 1 {
-		v >>= 1
-		k++
-	}
-	return k, nil
-}
-
-// Cholesky computes the lower-triangular factor L of a symmetric positive
-// semi-definite matrix a (row-major, dim×dim) such that L·Lᵀ = a. Small
-// negative pivots (within tol of zero) are treated as zero so that
-// degenerate equicorrelation matrices (ρ = 1) factor cleanly.
-func Cholesky(a [][]float64) ([][]float64, error) {
-	n := len(a)
-	l := make([][]float64, n)
-	for i := range l {
-		if len(a[i]) != n {
-			return nil, errors.New("mathx: cholesky input is not square")
-		}
-		l[i] = make([]float64, n)
-	}
-	const tol = 1e-10
-	for j := 0; j < n; j++ {
-		sum := a[j][j]
-		for k := 0; k < j; k++ {
-			sum -= l[j][k] * l[j][k]
-		}
-		switch {
-		case sum < -tol:
-			return nil, fmt.Errorf("mathx: matrix not positive semi-definite (pivot %d = %g)", j, sum)
-		case sum < tol:
-			l[j][j] = 0
-		default:
-			l[j][j] = math.Sqrt(sum)
-		}
-		for i := j + 1; i < n; i++ {
-			sum := a[i][j]
-			for k := 0; k < j; k++ {
-				sum -= l[i][k] * l[j][k]
-			}
-			if l[j][j] == 0 {
-				l[i][j] = 0
-			} else {
-				l[i][j] = sum / l[j][j]
-			}
-		}
-	}
-	return l, nil
 }
 
 // NormCDF is the standard normal cumulative distribution function.
@@ -227,49 +171,10 @@ func SumFloat64(v []float64) float64 {
 	return s
 }
 
-// L1Distance returns Σ|a[i]−b[i]|. The slices must have equal length.
-func L1Distance(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of v (0 for empty input).
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
 	return SumFloat64(v) / float64(len(v))
-}
-
-// StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	s := 0.0
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v)))
-}
-
-// Binomial returns C(n, k) as a float64 (exact for the small arguments used
-// here: n ≤ 20 or so).
-func Binomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r = r * float64(n-i) / float64(i+1)
-	}
-	return r
 }

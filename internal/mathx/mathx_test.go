@@ -72,105 +72,6 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-func TestLog2Int(t *testing.T) {
-	for k := 0; k < 20; k++ {
-		got, err := Log2Int(1 << k)
-		if err != nil || got != k {
-			t.Errorf("Log2Int(%d) = %d, %v; want %d", 1<<k, got, err, k)
-		}
-	}
-	if _, err := Log2Int(12); err == nil {
-		t.Error("Log2Int(12) should fail")
-	}
-	if _, err := Log2Int(0); err == nil {
-		t.Error("Log2Int(0) should fail")
-	}
-}
-
-func TestCholeskyIdentity(t *testing.T) {
-	a := [][]float64{{1, 0}, {0, 1}}
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l[0][0] != 1 || l[1][1] != 1 || l[0][1] != 0 || l[1][0] != 0 {
-		t.Errorf("Cholesky(I) = %v, want identity", l)
-	}
-}
-
-func TestCholeskyReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.IntN(5)
-		// Build a random PSD matrix A = B·Bᵀ.
-		b := make([][]float64, n)
-		for i := range b {
-			b[i] = make([]float64, n)
-			for j := range b[i] {
-				b[i][j] = rng.NormFloat64()
-			}
-		}
-		a := make([][]float64, n)
-		for i := range a {
-			a[i] = make([]float64, n)
-			for j := range a[i] {
-				for k := 0; k < n; k++ {
-					a[i][j] += b[i][k] * b[j][k]
-				}
-			}
-		}
-		l, err := Cholesky(a)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				recon := 0.0
-				for k := 0; k < n; k++ {
-					recon += l[i][k] * l[j][k]
-				}
-				if math.Abs(recon-a[i][j]) > 1e-8 {
-					t.Fatalf("trial %d: (L·Lᵀ)[%d][%d] = %g, want %g", trial, i, j, recon, a[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestCholeskyDegenerateEquicorrelation(t *testing.T) {
-	// ρ = 1 gives a rank-1 matrix; the factorization must not error.
-	n := 4
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-		for j := range a[i] {
-			a[i][j] = 1
-		}
-	}
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		recon := 0.0
-		for k := 0; k < n; k++ {
-			recon += l[i][k] * l[0][k]
-		}
-		if math.Abs(recon-1) > 1e-9 {
-			t.Errorf("rank-1 reconstruction row %d = %g, want 1", i, recon)
-		}
-	}
-}
-
-func TestCholeskyErrors(t *testing.T) {
-	if _, err := Cholesky([][]float64{{1, 0}}); err == nil {
-		t.Error("non-square matrix should fail")
-	}
-	if _, err := Cholesky([][]float64{{1, 2}, {2, 1}}); err == nil {
-		t.Error("indefinite matrix should fail")
-	}
-}
-
 func TestNormCDFQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
 		x := NormQuantile(p)
@@ -345,28 +246,5 @@ func TestAggregates(t *testing.T) {
 	}
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) should be 0")
-	}
-	if got := StdDev(v); math.Abs(got-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("StdDev = %g", got)
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("StdDev of singleton should be 0")
-	}
-	if got := L1Distance([]float64{1, 2}, []float64{2, 0}); got != 3 {
-		t.Errorf("L1Distance = %g, want 3", got)
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want float64
-	}{
-		{6, 2, 15}, {4, 2, 6}, {10, 0, 1}, {10, 10, 1}, {5, 6, 0}, {5, -1, 0}, {10, 3, 120},
-	}
-	for _, c := range cases {
-		if got := Binomial(c.n, c.k); got != c.want {
-			t.Errorf("Binomial(%d,%d) = %g, want %g", c.n, c.k, got, c.want)
-		}
 	}
 }

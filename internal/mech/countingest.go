@@ -77,19 +77,20 @@ type CountIngest struct {
 	// it last released, so the counter is off the hot path.
 	nextStripe atomic.Uint32
 
-	// scratch recycles the run-partitioning buffers SubmitBatch uses to
-	// regroup a batch into same-group runs — and carries the writer's stripe
-	// affinity — so the warm ingest path performs zero allocations per
-	// frame.
+	// scratch recycles each writer's stripe affinity together with the
+	// buffers its folds run through, so the warm ingest path performs zero
+	// allocations per report or frame.
 	scratch sync.Pool
 }
 
-// batchScratch is one writer's pooled state: the stripe its folds target
-// plus the partitioning buffers SubmitBatch regroups batches with.
+// batchScratch is one writer's pooled state: the stripe its folds target,
+// Submit's one-report run, and the buffers an unsorted SubmitBatch frame is
+// counting-sorted through.
 type batchScratch struct {
-	stripe int      // index into CountIngest.stripes, fixed at mint time
-	perm   []Report // the batch regrouped into one run per group
-	starts []int    // run offsets into perm, len groups+1
+	stripe int       // index into CountIngest.stripes, fixed at mint time
+	one    [1]Report // Submit's report, folded as a one-report run
+	perm   []Report  // an unsorted frame, sorted into one run per group
+	starts []int     // the sort's per-group write offsets, len groups
 }
 
 // countStripe is one writer's private copy of every group's statistic. The
@@ -135,36 +136,35 @@ func defaultStripes() int {
 }
 
 // GroupSpec describes how one group's reports fold into its count vector:
-// Len is the vector's length and Fold adds one (already vetted) report's
-// contribution. A Len of 0 with a nil Fold marks a group whose reports
-// carry no information beyond their arrival (Uni, LHIO's root level) — only
-// the group's report tally is tracked.
+// Len is the vector's length and Fold adds a run of (already vetted)
+// same-group reports to it. A Len of 0 with a nil Fold marks a group whose
+// reports carry no information beyond their arrival (Uni, LHIO's root level)
+// — only the group's report tally is tracked.
 //
 // Retain marks a group that cannot stream: its reports are kept verbatim in
-// an append-only per-group store instead of folding (Len must be 0 and both
-// folds nil). This is the fallback for groups whose enumeration domain is
-// too large for a count vector — HIO's deepest d-dim levels past its
+// an append-only per-group store instead of folding (Len must be 0 and Fold
+// nil). This is the fallback for groups whose enumeration domain is too
+// large for a count vector — HIO's deepest d-dim levels past its
 // MaxStreamDomain cap — and costs O(reports) memory for that group alone;
 // every other group of the same collector still streams. A collector with
 // any retained group exports v3 (hybrid) states instead of v2.
 //
-// FoldBatch, when non-nil, folds a whole same-group run in one call and
-// must be bit-identical to folding each report with Fold in run order
-// (every statistic is a vector of commuting integer adds, so any
-// implementation built on them is). SubmitBatch partitions each vetted
-// batch into same-group runs and prefers FoldBatch; groups without one fall
-// back to per-report Fold.
+// Fold is the only fold: Submit hands it a one-report run, SubmitBatch one
+// run per group per frame. The counts it leaves must not depend on where
+// the report stream was cut into runs — every statistic in this module is
+// a vector of commuting integer adds, so any implementation built on them
+// qualifies. The run aliases the caller's frame or pooled scratch, so Fold
+// must not keep it.
 //
-// Both folds must be safe for concurrent calls that target distinct count
+// Fold must be safe for concurrent calls that target distinct count
 // vectors: the sharded write path folds the same group into different
 // stripes from different writers at once. The folders this module wires
 // (FolderSpec) qualify — all their mutable state lives in the caller's
 // vector.
 type GroupSpec struct {
-	Len       int
-	Fold      func(r Report, counts []int64)
-	FoldBatch func(rs []Report, counts []int64)
-	Retain    bool
+	Len    int
+	Fold   func(run []Report, counts []int64)
+	Retain bool
 }
 
 // NewCountIngest prepares a streaming store for pr's groups. check, when
@@ -193,13 +193,10 @@ func newCountIngestStripes(pr Protocol, check func(Report) error, specs []GroupS
 		stripes:  make([]countStripe, stripes),
 	}
 	for g, spec := range specs {
-		if spec.Len < 0 || (spec.Len > 0 && spec.Fold == nil) {
-			return nil, fmt.Errorf("mech: group %d spec needs a fold for %d counts", g, spec.Len)
+		if spec.Len < 0 || (spec.Len > 0) != (spec.Fold != nil) {
+			return nil, fmt.Errorf("mech: group %d spec has %d counts; a fold needs a positive length and vice versa", g, spec.Len)
 		}
-		if spec.FoldBatch != nil && spec.Fold == nil {
-			return nil, fmt.Errorf("mech: group %d spec has a batch fold but no per-report fold", g)
-		}
-		if spec.Retain && (spec.Len != 0 || spec.Fold != nil || spec.FoldBatch != nil) {
+		if spec.Retain && spec.Len != 0 {
 			return nil, fmt.Errorf("mech: group %d spec both retains reports and folds counts", g)
 		}
 	}
@@ -291,184 +288,128 @@ func (ci *CountIngest) vet(r Report) error {
 	return nil
 }
 
-// Submit ingests one report, folding it into its group's statistic on the
-// caller's stripe.
+// Submit ingests one report: it is vetted, then folded as a one-report run
+// through the same path as SubmitBatch. The run lives in the pooled
+// scratch, so a warm Submit allocates nothing, and a single report is
+// already in group order, so it never pays the O(groups) sort.
 func (ci *CountIngest) Submit(r Report) error {
 	if err := ci.vet(r); err != nil {
 		return err
 	}
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	if ci.done {
-		return fmt.Errorf("mech: %w", ErrFinalized)
-	}
-	if rg := ci.retainedOf(r.Group); rg != nil {
-		rg.mu.Lock()
-		rg.reports = append(rg.reports, r)
-		rg.mu.Unlock()
-		ci.received.Add(1)
-		return nil
-	}
 	sc := ci.scratch.Get().(*batchScratch)
-	st := &ci.stripes[sc.stripe]
-	st.mu.Lock()
-	grp := &st.groups[r.Group]
-	grp.n++
-	if f := ci.specs[r.Group].Fold; f != nil {
-		if grp.counts == nil && ci.specs[r.Group].Len > 0 {
-			grp.counts = make([]int64, ci.specs[r.Group].Len)
-		}
-		f(r, grp.counts)
-	}
-	st.mu.Unlock()
+	sc.one[0] = r
+	err := ci.fold(sc.one[:], sc)
 	ci.scratch.Put(sc)
-	ci.received.Add(1)
-	return nil
+	return err
 }
 
 // SubmitBatch ingests a batch atomically: every report is vetted before the
 // first one folds, so a malformed report in a network frame cannot leave
-// the collector partially updated.
+// the collector partially updated. The folded result is bit-identical to
+// submitting the reports one at a time in any order, on any stripe: every
+// group statistic is a vector of commuting integer adds.
 //
-// The vetted batch is partitioned into same-group runs (a counting sort
-// over pooled scratch — O(len(rs) + groups), zero allocations warm) and the
-// whole frame folds into the caller's stripe under one lock acquisition,
-// with each run handed to its group's batch fold. The folded result is
-// bit-identical to submitting the reports one at a time in any order, on
-// any stripe: every group statistic is a vector of commuting integer adds.
+// A batch already in ascending group order — every one-report batch, every
+// Uni frame — folds its maximal same-group runs in place.
+// Any other batch is first counting-sorted by group into pooled scratch,
+// so only the frames that need the sort pay its O(groups) term. The sort
+// touches only the caller's batch and the scratch, so it runs before any
+// lock is taken.
 func (ci *CountIngest) SubmitBatch(rs []Report) error {
 	for i, r := range rs {
 		if err := ci.vet(r); err != nil {
 			return fmt.Errorf("mech: batch report %d: %w", i, err)
 		}
 	}
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	if ci.done {
-		return fmt.Errorf("mech: %w", ErrFinalized)
-	}
-	if len(rs) == 0 {
-		return nil
-	}
 	sc := ci.scratch.Get().(*batchScratch)
-	st := &ci.stripes[sc.stripe]
-	if len(rs) == 1 {
-		r := rs[0]
-		if rg := ci.retainedOf(r.Group); rg != nil {
-			rg.mu.Lock()
-			rg.reports = append(rg.reports, r)
-			rg.mu.Unlock()
-		} else {
-			st.mu.Lock()
-			grp := &st.groups[r.Group]
-			grp.n++
-			if f := ci.specs[r.Group].Fold; f != nil {
-				if grp.counts == nil && ci.specs[r.Group].Len > 0 {
-					grp.counts = make([]int64, ci.specs[r.Group].Len)
-				}
-				f(r, grp.counts)
-			}
-			st.mu.Unlock()
+	runs := rs
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Group < rs[i-1].Group {
+			runs = ci.sortByGroup(rs, sc)
+			break
 		}
-	} else {
-		ci.foldRuns(rs, sc, st)
-		if cap(sc.perm) > maxPooledRunScratch {
-			// One oversized frame must not pin O(frame) scratch on the
-			// collector forever; outsized buffers go back to the GC and
-			// normal-sized frames stay zero-alloc.
-			sc.perm = nil
-		}
+	}
+	err := ci.fold(runs, sc)
+	if cap(sc.perm) > maxPooledRunScratch {
+		// One oversized frame must not pin O(frame) scratch on the collector
+		// forever; outsized buffers go back to the GC and normal-sized
+		// frames stay zero-alloc.
+		sc.perm = nil
 	}
 	ci.scratch.Put(sc)
-	ci.received.Add(int64(len(rs)))
-	return nil
+	return err
 }
 
-// foldRuns partitions a vetted batch into same-group runs and folds every
-// run into st under a single stripe acquisition. Callers hold ci.mu shared;
-// the partitioning itself touches only sc, so it runs outside the stripe
-// lock.
-func (ci *CountIngest) foldRuns(rs []Report, sc *batchScratch, st *countStripe) {
-	numG := len(ci.specs)
-	if cap(sc.starts) < numG+1 {
-		sc.starts = make([]int, numG+1)
+// fold folds vetted reports in ascending group order into sc's stripe under
+// one stripe acquisition, one Fold call per maximal same-group run.
+func (ci *CountIngest) fold(runs []Report, sc *batchScratch) error {
+	ci.mu.RLock()
+	if ci.done {
+		ci.mu.RUnlock()
+		return fmt.Errorf("mech: %w", ErrFinalized)
 	}
-	starts := sc.starts[:numG+1]
-	clear(starts)
-	// Tally run sizes; remember whether the batch already arrives in
-	// ascending group order, in which case the scatter pass is skipped and
-	// the runs are folded straight out of the caller's slice.
-	sorted := true
-	prev := rs[0].Group
-	for i := range rs {
-		g := rs[i].Group
-		starts[g+1]++
-		if g < prev {
-			sorted = false
-		}
-		prev = g
-	}
-	for g := 0; g < numG; g++ {
-		starts[g+1] += starts[g]
-	}
-	runs := rs
-	if !sorted {
-		// Stable counting-sort scatter into the pooled buffer, so each run
-		// preserves the batch's relative report order.
-		if cap(sc.perm) < len(rs) {
-			sc.perm = make([]Report, len(rs))
-		}
-		runs = sc.perm[:len(rs)]
-		next := starts[:numG] // consumed as scatter cursors, rebuilt below
-		for i := range rs {
-			g := rs[i].Group
-			runs[next[g]] = rs[i]
-			next[g]++
-		}
-		// next[g] has advanced to the run's end == starts[g+1]; shift back.
-		copy(starts[1:], next)
-		starts[0] = 0
-	}
-	// Retained groups take their runs first, outside the stripe lock: their
-	// store is group-global, not striped. The append copies the run out of
-	// the (possibly pooled) partition buffer.
-	if ci.hasRetained {
-		for g := 0; g < numG; g++ {
-			rg := ci.retained[g]
-			if rg == nil || starts[g] == starts[g+1] {
-				continue
-			}
-			rg.mu.Lock()
-			rg.reports = append(rg.reports, runs[starts[g]:starts[g+1]]...)
-			rg.mu.Unlock()
-		}
-	}
+	st := &ci.stripes[sc.stripe]
 	st.mu.Lock()
-	for g := 0; g < numG; g++ {
-		lo, hi := starts[g], starts[g+1]
-		if lo == hi || ci.retainedOf(g) != nil {
-			continue
+	for lo := 0; lo < len(runs); {
+		g, hi := runs[lo].Group, lo+1
+		for hi < len(runs) && runs[hi].Group == g {
+			hi++
 		}
 		run := runs[lo:hi]
+		lo = hi
+		if rg := ci.retainedOf(g); rg != nil {
+			// A retained group's store is group-global, not striped (its lock
+			// nests inside the stripe's; nothing takes them the other way
+			// round). The append copies the run out of the caller's frame or
+			// the pooled sort buffer.
+			rg.mu.Lock()
+			rg.reports = append(rg.reports, run...)
+			rg.mu.Unlock()
+			continue
+		}
 		grp := &st.groups[g]
-		spec := &ci.specs[g]
 		grp.n += int64(len(run))
-		switch {
-		case spec.FoldBatch != nil:
-			if grp.counts == nil && spec.Len > 0 {
+		if spec := &ci.specs[g]; spec.Fold != nil {
+			if grp.counts == nil {
 				grp.counts = make([]int64, spec.Len)
 			}
-			spec.FoldBatch(run, grp.counts)
-		case spec.Fold != nil:
-			if grp.counts == nil && spec.Len > 0 {
-				grp.counts = make([]int64, spec.Len)
-			}
-			for i := range run {
-				spec.Fold(run[i], grp.counts)
-			}
+			spec.Fold(run, grp.counts)
 		}
 	}
 	st.mu.Unlock()
+	ci.received.Add(int64(len(runs)))
+	ci.mu.RUnlock()
+	return nil
+}
+
+// sortByGroup stably counting-sorts a vetted batch by group into the pooled
+// sc.perm — O(len(rs) + groups), zero allocations warm — so each group's
+// reports form one run in the batch's relative order.
+func (ci *CountIngest) sortByGroup(rs []Report, sc *batchScratch) []Report {
+	numG := len(ci.specs)
+	if cap(sc.starts) < numG {
+		sc.starts = make([]int, numG)
+	}
+	next := sc.starts[:numG]
+	clear(next)
+	for i := range rs {
+		next[rs[i].Group]++
+	}
+	at := 0
+	for g, n := range next {
+		next[g] = at
+		at += n
+	}
+	if cap(sc.perm) < len(rs) {
+		sc.perm = make([]Report, len(rs))
+	}
+	perm := sc.perm[:len(rs)]
+	for i := range rs {
+		g := rs[i].Group
+		perm[next[g]] = rs[i]
+		next[g]++
+	}
+	return perm
 }
 
 // Received reports how many reports have been accepted so far. It is a

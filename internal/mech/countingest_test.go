@@ -5,13 +5,19 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"privmdr/internal/fo"
 )
 
-// countProtocol returns the shared fake protocol plus specs counting each
-// report's value into a 8-slot histogram per group.
-func countSpecs(groups int) []GroupSpec {
+// batchCountSpecs returns specs for the given number of groups, each
+// folding a run's report values into an 8-slot histogram.
+func batchCountSpecs(groups int) []GroupSpec {
 	specs := make([]GroupSpec, groups)
-	fold := func(r Report, counts []int64) { counts[r.Value%8]++ }
+	fold := func(rs []Report, counts []int64) {
+		for i := range rs {
+			counts[rs[i].Value%8]++
+		}
+	}
 	for g := range specs {
 		specs[g] = GroupSpec{Len: 8, Fold: fold}
 	}
@@ -21,7 +27,7 @@ func countSpecs(groups int) []GroupSpec {
 func newCountIngest(t *testing.T, check func(Report) error) *CountIngest {
 	t.Helper()
 	pr := testProtocol()
-	ci, err := NewCountIngest(pr, check, countSpecs(pr.NumGroups()))
+	ci, err := NewCountIngest(pr, check, batchCountSpecs(pr.NumGroups()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +80,18 @@ func TestCountIngestValidation(t *testing.T) {
 
 func TestCountIngestSpecShape(t *testing.T) {
 	pr := testProtocol()
-	if _, err := NewCountIngest(pr, nil, countSpecs(pr.NumGroups()-1)); err == nil {
+	if _, err := NewCountIngest(pr, nil, batchCountSpecs(pr.NumGroups()-1)); err == nil {
 		t.Error("spec count mismatch accepted")
 	}
-	bad := countSpecs(pr.NumGroups())
+	bad := batchCountSpecs(pr.NumGroups())
 	bad[0].Fold = nil
 	if _, err := NewCountIngest(pr, nil, bad); err == nil {
 		t.Error("positive-length spec without fold accepted")
+	}
+	bad = batchCountSpecs(pr.NumGroups())
+	bad[0].Len = 0
+	if _, err := NewCountIngest(pr, nil, bad); err == nil {
+		t.Error("fold without a count vector accepted")
 	}
 }
 
@@ -275,56 +286,59 @@ func TestCountIngestV1FoldEquivalence(t *testing.T) {
 	}
 }
 
-// batchCountSpecs is countSpecs plus the batch-native fold, the shape real
-// mechanisms wire through GroupSpec.FoldBatch.
-func batchCountSpecs(groups int) []GroupSpec {
-	specs := countSpecs(groups)
-	for g := range specs {
-		specs[g].FoldBatch = func(rs []Report, counts []int64) {
-			for i := range rs {
-				counts[rs[i].Value%8]++
-			}
-		}
-	}
-	return specs
-}
-
 // TestSubmitBatchPartitionIdentity is the batch-ingest invariant at the
 // store level: any partition of a shuffled report multiset submitted
-// through SubmitBatch drains bit-identical to per-report Submit — with and
-// without a GroupSpec.FoldBatch, so the run-partitioned path, the Fold
-// fallback, and the per-report path all agree.
+// through SubmitBatch drains bit-identical to per-report Submit. fold-only
+// runs the plain counting fold, which walks a run report by report;
+// fold-batch runs FolderSpec over an OLH folder, the pooled, value-outer
+// batch fold every oracle-backed mechanism wires. The chunk sizes reach both
+// sides of the in-place rule: one-report and aligned three-report chunks
+// arrive in ascending group order and fold in place, the longer ones are
+// counting-sorted first.
 func TestSubmitBatchPartitionIdentity(t *testing.T) {
 	pr := testProtocol()
 	reports := make([]Report, 999)
 	for i := range reports {
-		reports[i] = Report{Group: (i * 7) % pr.NumGroups(), Value: (i * 13) % 8}
+		reports[i] = Report{
+			Group: (i * 7) % pr.NumGroups(),
+			Seed:  uint64(i) * 0x9e3779b97f4a7c15,
+			Value: (i * 13) % 8,
+		}
 	}
-	want := func(specs []GroupSpec) []GroupCounts {
-		ci, err := NewCountIngest(pr, nil, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range reports {
-			if err := ci.Submit(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		counts, err := ci.DrainCounts()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return counts
-	}(countSpecs(pr.NumGroups()))
+	olh, err := fo.NewOLH(pr.p.Eps, pr.p.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folder, err := fo.NewFolder(olh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folderSpecs := make([]GroupSpec, pr.NumGroups())
+	for g := range folderSpecs {
+		folderSpecs[g] = FolderSpec(folder)
+	}
 
 	for _, tc := range []struct {
 		name  string
 		specs []GroupSpec
 	}{
-		{"fold-only", countSpecs(pr.NumGroups())},
-		{"fold-batch", batchCountSpecs(pr.NumGroups())},
+		{"fold-only", batchCountSpecs(pr.NumGroups())},
+		{"fold-batch", folderSpecs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ref, err := NewCountIngest(pr, nil, tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range reports {
+				if err := ref.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := ref.DrainCounts()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, chunk := range []int{1, 3, 64, len(reports)} {
 				ci, err := NewCountIngest(pr, nil, tc.specs)
 				if err != nil {
@@ -356,9 +370,10 @@ func TestSubmitBatchPartitionIdentity(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchSortedRuns covers the in-place fast path: a batch already
-// in ascending group order folds without the scatter pass, identically to
-// the shuffled path.
+// TestSubmitBatchSortedRuns covers the in-place rule: a batch already in
+// ascending group order — as every single report and every Uni frame is —
+// folds its maximal same-group runs straight out of the caller's slice,
+// without the counting sort, and lands the same counts.
 func TestSubmitBatchSortedRuns(t *testing.T) {
 	pr := testProtocol()
 	sorted := []Report{
@@ -414,20 +429,25 @@ func TestSubmitBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSubmitBatch is the satellite regression benchmark: the batched
-// path against the per-report Submit baseline, for a same-group frame (one
-// run, one stripe acquisition) and a shuffled frame (counting-sort
-// partition, still one acquisition per group).
+// BenchmarkSubmitBatch is the batched path against the per-report Submit
+// baseline, for a same-group frame (one run, one stripe acquisition) and a
+// shuffled frame (counting sort, still one acquisition per frame). The
+// groups4096 arms spread a frame over a 4096-group deployment (HIO's size
+// at d = 6): per report, Submit must stay flat in the group count — a
+// single report folds in place and never pays the O(groups) sort.
 func BenchmarkSubmitBatch(b *testing.B) {
 	pr := testProtocol()
+	wide := &fakeProtocol{name: "Wide", p: pr.p, groups: 4096}
 	const batch = 4096
 	same := make([]Report, batch)
 	shuffled := make([]Report, batch)
+	spread := make([]Report, batch)
 	for i := range same {
 		same[i] = Report{Group: 1, Value: i % 8}
 		shuffled[i] = Report{Group: (i * 5) % pr.NumGroups(), Value: i % 8}
+		spread[i] = Report{Group: (i * 5) % wide.NumGroups(), Value: i % 8}
 	}
-	run := func(b *testing.B, rs []Report, perReport bool) {
+	run := func(b *testing.B, pr Protocol, rs []Report, perReport bool) {
 		ci, err := NewCountIngest(pr, nil, batchCountSpecs(pr.NumGroups()))
 		if err != nil {
 			b.Fatal(err)
@@ -450,10 +470,12 @@ func BenchmarkSubmitBatch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("samegroup/perreport", func(b *testing.B) { run(b, same, true) })
-	b.Run("samegroup/batch", func(b *testing.B) { run(b, same, false) })
-	b.Run("shuffled/perreport", func(b *testing.B) { run(b, shuffled, true) })
-	b.Run("shuffled/batch", func(b *testing.B) { run(b, shuffled, false) })
+	b.Run("samegroup/perreport", func(b *testing.B) { run(b, pr, same, true) })
+	b.Run("samegroup/batch", func(b *testing.B) { run(b, pr, same, false) })
+	b.Run("shuffled/perreport", func(b *testing.B) { run(b, pr, shuffled, true) })
+	b.Run("shuffled/batch", func(b *testing.B) { run(b, pr, shuffled, false) })
+	b.Run("groups4096/perreport", func(b *testing.B) { run(b, wide, spread, true) })
+	b.Run("groups4096/batch", func(b *testing.B) { run(b, wide, spread, false) })
 }
 
 // TestShardedStripesIdentity is the sharded-counter invariant under -race:
@@ -516,7 +538,7 @@ func TestShardedStripesIdentity(t *testing.T) {
 				if err := sharded.SubmitBatch(rs); err != nil {
 					t.Error(err)
 				}
-			default: // small chunks, exercising the single-report batch path too
+			default: // small chunks
 				for lo := 0; lo < len(rs); lo += 17 {
 					if err := sharded.SubmitBatch(rs[lo:min(lo+17, len(rs))]); err != nil {
 						t.Error(err)
@@ -682,7 +704,7 @@ func BenchmarkSubmitBatchContended(b *testing.B) {
 // retainSpecs is the capped-HIO shape at store level: group 0 streams,
 // group 1 retains raw reports, group 2 is tally-only.
 func retainSpecs() []GroupSpec {
-	specs := countSpecs(3)
+	specs := batchCountSpecs(3)
 	specs[1] = GroupSpec{Retain: true}
 	specs[2] = GroupSpec{}
 	return specs
@@ -695,7 +717,7 @@ func retainSpecs() []GroupSpec {
 // carry counts.
 func TestCountIngestRetention(t *testing.T) {
 	if _, err := NewCountIngest(testProtocol(), nil, []GroupSpec{
-		{Len: 8, Fold: func(Report, []int64) {}}, {Retain: true, Len: 8}, {},
+		{Len: 8, Fold: func([]Report, []int64) {}}, {Retain: true, Len: 8}, {},
 	}); err == nil {
 		t.Error("Retain spec with a fold length accepted")
 	}

@@ -6,10 +6,10 @@ import (
 	"privmdr/internal/fo"
 )
 
-// foRunPool recycles the []fo.Report buffers FolderSpec's batch fold
-// unwraps wire reports into, so the warm batched ingest path allocates
-// nothing per run. Reports hold no pointers, so a pooled buffer retains no
-// references between uses.
+// foRunPool recycles the []fo.Report buffers FolderSpec's fold unwraps
+// wire reports into, so the warm ingest path allocates nothing per run.
+// Reports hold no pointers, so a pooled buffer retains no references between
+// uses.
 var foRunPool = sync.Pool{New: func() any { return new([]fo.Report) }}
 
 // maxPooledRunScratch caps the per-report scratch the batch-ingest pools
@@ -20,20 +20,18 @@ var foRunPool = sync.Pool{New: func() any { return new([]fo.Report) }}
 const maxPooledRunScratch = 8192
 
 // FolderSpec is the GroupSpec for a group that streams through a
-// frequency-oracle folder: the per-report path folds one unwrapped report,
-// and the batch path unwraps a whole same-group run into a pooled buffer
-// and hands it to the folder's batch-native FoldBatch (value-outer inner
-// loops, hoisted bounds checks). It is the one adapter between the wire
-// Report and fo.Report shapes, shared by every oracle-backed mechanism
-// (HDG, TDG, CALM). Both closures satisfy GroupSpec's concurrency
-// contract — fo.Folder folds are stateless and foRunPool is a sync.Pool —
-// so the sharded collector may run them on the same group's different
-// stripes from concurrent writers.
+// frequency-oracle folder: its fold unwraps a same-group run into a pooled
+// buffer and hands it to the folder's FoldBatch (value-outer inner loops,
+// hoisted bounds checks). It is the one adapter between the wire Report and
+// fo.Report shapes, shared by every oracle-backed mechanism (HDG, TDG,
+// CALM, and the levels of HIO and LHIO). The fold satisfies GroupSpec's
+// concurrency contract — fo.Folder folds are stateless and foRunPool is a
+// sync.Pool — so the sharded collector may run it on the same group's
+// different stripes from concurrent writers.
 func FolderSpec(f *fo.Folder) GroupSpec {
 	return GroupSpec{
-		Len:  f.StatLen(),
-		Fold: func(r Report, counts []int64) { f.Fold(r.FO(), counts) },
-		FoldBatch: func(rs []Report, counts []int64) {
+		Len: f.StatLen(),
+		Fold: func(rs []Report, counts []int64) {
 			bp := foRunPool.Get().(*[]fo.Report)
 			run := (*bp)[:0]
 			for i := range rs {

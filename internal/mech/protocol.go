@@ -207,10 +207,10 @@ func Run(p Protocol, ds *dataset.Dataset) (Estimator, error) {
 	// one at a time from the simulation loop: the estimator is bit-identical
 	// under any schedule (every collector statistic is a vector of commuting
 	// integer adds, and every collector is safe for concurrent submission),
-	// framed submission reaches the collectors' batch-native folds, and the
-	// workers spread the fold cost — which matters most for oracle-heavy
-	// protocols like HIO, whose per-report fold walks the group's whole
-	// domain — across the machine. The client side stays a single
+	// framed submission hands the collectors' folds long same-group runs,
+	// and the workers spread the fold cost — which matters most for
+	// oracle-heavy protocols like HIO, whose fold walks the group's whole
+	// domain for every report — across the machine. The client side stays a single
 	// deterministic loop; only aggregation is concurrent.
 	const runFrame = 1024
 	workers := min(runtime.GOMAXPROCS(0), 8)

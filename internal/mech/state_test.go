@@ -163,8 +163,16 @@ func sampleCountState(t *testing.T) CollectorState {
 	t.Helper()
 	pr := testProtocol()
 	specs := []GroupSpec{
-		{Len: 4, Fold: func(r Report, counts []int64) { counts[r.Value%4] += 1 - 2*int64(r.Seed&1) }},
-		{Len: 4, Fold: func(r Report, counts []int64) { counts[r.Value%4]++ }},
+		{Len: 4, Fold: func(rs []Report, counts []int64) {
+			for _, r := range rs {
+				counts[r.Value%4] += 1 - 2*int64(r.Seed&1)
+			}
+		}},
+		{Len: 4, Fold: func(rs []Report, counts []int64) {
+			for _, r := range rs {
+				counts[r.Value%4]++
+			}
+		}},
 		{}, // tally-only group
 	}
 	ci, err := NewCountIngest(pr, nil, specs)

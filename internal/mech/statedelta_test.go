@@ -10,7 +10,7 @@ import (
 // and prev + delta == cur under the standard Merge.
 func TestDiffStatesCounts(t *testing.T) {
 	pr := testProtocol()
-	ci, err := NewCountIngest(pr, nil, countSpecs(pr.NumGroups()))
+	ci, err := NewCountIngest(pr, nil, batchCountSpecs(pr.NumGroups()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDiffStatesCounts(t *testing.T) {
 
 	// Reconstruction: a collector holding prev that merges the delta ends up
 	// exactly at cur.
-	downstream, err := NewCountIngest(pr, nil, countSpecs(pr.NumGroups()))
+	downstream, err := NewCountIngest(pr, nil, batchCountSpecs(pr.NumGroups()))
 	if err != nil {
 		t.Fatal(err)
 	}

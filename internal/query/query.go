@@ -51,9 +51,6 @@ func (q Query) Validate(d, c int) error {
 	return nil
 }
 
-// Lambda returns the query dimension λ.
-func (q Query) Lambda() int { return len(q) }
-
 // Volume returns the fraction of the full domain the query covers assuming
 // independence: Π (Hi−Lo+1)/c.
 func (q Query) Volume(c int) float64 {
@@ -287,18 +284,4 @@ func MAE(est, truth []float64) float64 {
 		s += d
 	}
 	return s / float64(len(est))
-}
-
-// AbsErrors returns |est−truth| per query (the Appendix A.2 standard-error
-// distribution input).
-func AbsErrors(est, truth []float64) []float64 {
-	out := make([]float64, len(est))
-	for i := range est {
-		d := est[i] - truth[i]
-		if d < 0 {
-			d = -d
-		}
-		out[i] = d
-	}
-	return out
 }

@@ -220,13 +220,6 @@ func TestMAE(t *testing.T) {
 	}
 }
 
-func TestAbsErrors(t *testing.T) {
-	got := AbsErrors([]float64{0.1, 0.5}, []float64{0.3, 0.4})
-	if math.Abs(got[0]-0.2) > 1e-12 || math.Abs(got[1]-0.1) > 1e-12 {
-		t.Errorf("AbsErrors = %v", got)
-	}
-}
-
 func TestMatches(t *testing.T) {
 	ds := &dataset.Dataset{C: 8, Cols: [][]uint16{{3}, {5}}}
 	if !(Query{{Attr: 0, Lo: 3, Hi: 3}}).Matches(ds, 0) {
@@ -234,13 +227,6 @@ func TestMatches(t *testing.T) {
 	}
 	if (Query{{Attr: 0, Lo: 3, Hi: 3}, {Attr: 1, Lo: 0, Hi: 4}}).Matches(ds, 0) {
 		t.Error("conjunct should have failed")
-	}
-}
-
-func TestLambdaAccessor(t *testing.T) {
-	q := Query{{Attr: 0, Lo: 0, Hi: 1}, {Attr: 1, Lo: 0, Hi: 1}}
-	if q.Lambda() != 2 {
-		t.Errorf("Lambda = %d", q.Lambda())
 	}
 }
 
