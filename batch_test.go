@@ -37,7 +37,6 @@ func batchMechanisms() map[string]privmdr.Mechanism {
 	}
 	ms["HDG-traces"] = privmdr.NewHDGWithOptions(privmdr.Options{CollectTraces: true})
 	ms["TDG-traces"] = privmdr.NewTDGWithOptions(privmdr.Options{CollectTraces: true})
-	ms["HDG-eager"] = privmdr.NewHDGWithOptions(privmdr.Options{EagerMatrices: true})
 	return ms
 }
 

@@ -214,12 +214,14 @@ func benchmarkAnswer(b *testing.B, m privmdr.Mechanism, n, d, c, lambda int) {
 	})
 }
 
-// BenchmarkAnswerHDG / TDG / CALM / HIO measure per-query answering for the
-// headline mechanisms and the baselines with nontrivial answer paths.
-// (HIO runs at d=4 so its 4^d hierarchy groups stay feasible.)
+// BenchmarkAnswerHDG / TDG / CALM / LHIO / HIO measure per-query answering
+// for the headline mechanisms and the baselines with nontrivial answer
+// paths; the first four answer through the shared mwem.Answer. (HIO runs at
+// d=4 so its 4^d hierarchy groups stay feasible.)
 func BenchmarkAnswerHDG(b *testing.B)  { benchmarkAnswer(b, privmdr.NewHDG(), 50_000, 6, 64, 2) }
 func BenchmarkAnswerTDG(b *testing.B)  { benchmarkAnswer(b, privmdr.NewTDG(), 50_000, 6, 64, 2) }
 func BenchmarkAnswerCALM(b *testing.B) { benchmarkAnswer(b, privmdr.NewCALM(), 50_000, 6, 64, 2) }
+func BenchmarkAnswerLHIO(b *testing.B) { benchmarkAnswer(b, privmdr.NewLHIO(), 50_000, 6, 64, 2) }
 func BenchmarkAnswerHIO(b *testing.B)  { benchmarkAnswer(b, privmdr.NewHIO(), 20_000, 4, 64, 2) }
 
 // BenchmarkAnswerBatchHDG measures whole-workload throughput through the

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
@@ -911,7 +912,7 @@ func cmdDist(args []string) error {
 			}
 		}
 		fmt.Printf("dist shard %s (%d tenants) — pushing to %s every %v, serving on %s\n",
-			*id, len(topo.Tenants), cmpOr(*aggURL, topo.Aggregator), *push, *addr)
+			*id, len(topo.Tenants), cmp.Or(*aggURL, topo.Aggregator), *push, *addr)
 	case "aggregator":
 		agg, err := dist.NewAggregator(topo, dist.SealOptions{
 			Interval: *seal, MinNewReports: *minNew, Timeout: *timeout,
@@ -948,7 +949,7 @@ func cmdDist(args []string) error {
 		defer rep.Close()
 		handler = rep
 		fmt.Printf("dist replica (%d tenants) — serving on %s, catching up from %s every %v\n",
-			len(topo.Tenants), *addr, cmpOr(*aggURL, topo.Aggregator), *poll)
+			len(topo.Tenants), *addr, cmp.Or(*aggURL, topo.Aggregator), *poll)
 	case "server":
 		srv, err := dist.NewTenantServer(topo, privmdr.LiveOptions{Refresh: *refresh, MinNewReports: *minNew})
 		if err != nil {
@@ -997,14 +998,4 @@ func cmdDist(args []string) error {
 		drain(ctx)
 		return shutdownErr
 	}
-}
-
-// cmpOr returns the first non-empty string.
-func cmpOr(vals ...string) string {
-	for _, v := range vals {
-		if v != "" {
-			return v
-		}
-	}
-	return ""
 }

@@ -19,8 +19,9 @@ import (
 	"privmdr"
 )
 
-// Attribute meanings in the IpumsLike generator (see DESIGN.md): attributes
-// cycle income-like, age-like, hours-like over a 64-value ordinal domain.
+// Attribute meanings in the IpumsLike generator (internal/dataset):
+// attributes cycle income-like, age-like, hours-like over a 64-value ordinal
+// domain.
 const (
 	income = 0
 	age    = 1

@@ -25,8 +25,6 @@ import (
 // even the uniform guess in most settings; reproducing that failure is the
 // point of including it.
 type HIO struct {
-	// B is the hierarchy branching factor (0 → 4, the paper's choice).
-	B int
 	// MaxCombos guards the Cartesian interval expansion per query
 	// (0 → 1<<21). Queries needing more return an error.
 	MaxCombos int
@@ -55,7 +53,11 @@ func (m *HIO) maxStreamDomain() int {
 	return 4096
 }
 
-// NewHIO returns an HIO baseline with branching factor 4.
+// hierarchyBranching is the branching factor of HIO's and LHIO's
+// hierarchies, the paper's choice.
+const hierarchyBranching = 4
+
+// NewHIO returns an HIO baseline.
 func NewHIO() *HIO { return &HIO{} }
 
 // Name implements mech.Mechanism.
@@ -118,12 +120,8 @@ func (m *HIO) Protocol(p mech.Params) (mech.Protocol, error) {
 	if err := p.Validate(1); err != nil {
 		return nil, err
 	}
-	b := m.B
-	if b == 0 {
-		b = 4
-	}
 	d, n, c := p.D, p.N, p.C
-	tree, err := hierarchy.New(b, c)
+	tree, err := hierarchy.New(hierarchyBranching, c)
 	if err != nil {
 		return nil, err
 	}

@@ -24,16 +24,13 @@ import (
 // attribute 1 (for every fixed attribute-2 node) and then along attribute 2;
 // across hierarchies, each attribute's leaf marginal is averaged over its
 // d−1 pairs CALM-style and the correction is pushed into every level.
-type LHIO struct {
-	// B is the branching factor (0 → 4).
-	B int
-	// Rounds of the cross-pair consistency / Norm-Sub interleave (0 → 2).
-	Rounds int
-	// WU bounds Algorithm 2 for λ > 2 (Tol 0 → 1/n at Fit).
-	WU mwem.Options
-}
+type LHIO struct{}
 
-// NewLHIO returns an LHIO baseline with branching factor 4.
+// lhioRounds is the number of cross-pair consistency / Norm-Sub
+// interleavings.
+const lhioRounds = 2
+
+// NewLHIO returns an LHIO baseline.
 func NewLHIO() *LHIO { return &LHIO{} }
 
 // Name implements mech.Mechanism.
@@ -60,7 +57,6 @@ func (m *LHIO) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estim
 // spend no budget — the group still exists to keep populations even.
 type lhioProtocol struct {
 	p       mech.Params
-	opts    LHIO
 	tree    *hierarchy.Tree
 	levels  int
 	pairs   [][2]int
@@ -73,11 +69,7 @@ func (m *LHIO) Protocol(p mech.Params) (mech.Protocol, error) {
 	if err := p.Validate(2); err != nil {
 		return nil, err
 	}
-	b := m.B
-	if b == 0 {
-		b = 4
-	}
-	tree, err := hierarchy.New(b, p.C)
+	tree, err := hierarchy.New(hierarchyBranching, p.C)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +98,7 @@ func (m *LHIO) Protocol(p mech.Params) (mech.Protocol, error) {
 			oracles[l1*levels+l2] = oracle
 		}
 	}
-	return &lhioProtocol{p: p, opts: *m, tree: tree, levels: levels, pairs: pairs, as: as, oracles: oracles}, nil
+	return &lhioProtocol{p: p, tree: tree, levels: levels, pairs: pairs, as: as, oracles: oracles}, nil
 }
 
 // Name implements mech.Protocol.
@@ -243,11 +235,7 @@ func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCount
 	}
 
 	// Stage 2: cross-pair attribute consistency + Norm-Sub, interleaved.
-	rounds := pr.opts.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < lhioRounds; r++ {
 		for a := 0; a < d; a++ {
 			crossPairConsistency(tree, levels, pairs, freq, a)
 		}
@@ -258,10 +246,7 @@ func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCount
 		}
 	}
 
-	wu := pr.opts.WU
-	if wu.Tol <= 0 {
-		wu.Tol = 1 / float64(n)
-	}
+	wu := mwem.Options{Tol: 1 / float64(n)}
 	return &lhioEstimator{c: pr.p.C, d: d, tree: tree, levels: levels, freq: freq, wu: wu}, nil
 }
 
@@ -430,20 +415,7 @@ func (e *lhioEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
 
 // Answer implements mech.Estimator.
 func (e *lhioEstimator) Answer(q query.Query) (float64, error) {
-	if err := q.Validate(e.d, e.c); err != nil {
-		return 0, err
-	}
-	qs := q.Sorted()
-	if len(qs) == 1 {
-		a := qs[0].Attr
-		partner := (a + 1) % e.d
-		full := query.Pred{Attr: partner, Lo: 0, Hi: e.c - 1}
-		if partner < a {
-			return e.pair2D(partner, a, full, qs[0])
-		}
-		return e.pair2D(a, partner, qs[0], full)
-	}
-	f, _, err := mwem.AnswerRange(qs, e.pair2D, e.wu)
+	f, _, err := mwem.Answer(q, e.d, e.c, nil, e.pair2D, e.wu)
 	return f, err
 }
 

@@ -13,6 +13,7 @@ import (
 	"privmdr/internal/ldprand"
 	"privmdr/internal/mathx"
 	"privmdr/internal/mech"
+	"privmdr/internal/mwem"
 	"privmdr/internal/query"
 	"privmdr/internal/sw"
 )
@@ -106,23 +107,25 @@ func seedFinalizeMSW(t *testing.T, pr *mswProtocol, byGroup [][]mech.Report) mec
 	})
 }
 
-// seedFinalizeCALM is the seed's calmCollector.Finalize preserved verbatim.
-func seedFinalizeCALM(t *testing.T, pr *calmProtocol, byGroup [][]mech.Report) mech.Estimator {
+// seedFinalizeCALM is the seed's calmCollector.Finalize preserved verbatim,
+// with the pairs, the oracle and the defaults (3 rounds, Tol 1/n) derived
+// from the public parameters.
+func seedFinalizeCALM(t *testing.T, params mech.Params, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
-	d, n, cc := pr.p.D, pr.p.N, pr.p.C
-	pairs := pr.pairs
+	d, n, cc := params.D, params.N, params.C
+	pairs := mech.AllPairs(d)
+	oracle, err := fo.NewAuto(params.Eps, cc*cc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	marginals := make([]*grid.Grid2D, len(pairs))
 	for pi := range pairs {
 		g, err := grid.NewGrid2D(cc, cc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(g.Freq, pr.oracle.EstimateAll(mech.FOReports(byGroup[pi])))
+		copy(g.Freq, oracle.EstimateAll(mech.FOReports(byGroup[pi])))
 		marginals[pi] = g
-	}
-	rounds := pr.opts.Rounds
-	if rounds <= 0 {
-		rounds = 3
 	}
 	pipeline := &consistency.Pipeline{
 		Attrs: d,
@@ -144,7 +147,7 @@ func seedFinalizeCALM(t *testing.T, pr *calmProtocol, byGroup [][]mech.Report) m
 			return views
 		},
 	}
-	if err := pipeline.Run(rounds); err != nil {
+	if err := pipeline.Run(3); err != nil {
 		t.Fatal(err)
 	}
 	prefix := make([]*mathx.Prefix2D, len(pairs))
@@ -155,11 +158,41 @@ func seedFinalizeCALM(t *testing.T, pr *calmProtocol, byGroup [][]mech.Report) m
 		}
 		prefix[pi] = p
 	}
-	wu := pr.opts.WU
-	if wu.Tol <= 0 {
-		wu.Tol = 1 / float64(n)
+	return &seedCALMEstimator{c: cc, d: d, prefix: prefix, wu: mwem.Options{Tol: 1 / float64(n)}}
+}
+
+// seedCALMEstimator is the seed's calmEstimator preserved verbatim: 2-D
+// answers are exact cell sums over the marginal's prefix sums.
+type seedCALMEstimator struct {
+	c, d   int
+	prefix []*mathx.Prefix2D // per pair, over the post-processed marginal
+	wu     mwem.Options
+}
+
+func (e *seedCALMEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
+	pi, err := mech.PairIndex(e.d, a, b)
+	if err != nil {
+		return 0, err
 	}
-	return &calmEstimator{c: cc, d: d, prefix: prefix, wu: wu}
+	return e.prefix[pi].RangeSum(pa.Lo, pa.Hi, pb.Lo, pb.Hi), nil
+}
+
+func (e *seedCALMEstimator) Answer(q query.Query) (float64, error) {
+	if err := q.Validate(e.d, e.c); err != nil {
+		return 0, err
+	}
+	qs := q.Sorted()
+	if len(qs) == 1 {
+		a := qs[0].Attr
+		partner := (a + 1) % e.d
+		full := query.Pred{Attr: partner, Lo: 0, Hi: e.c - 1}
+		if partner < a {
+			return e.pair2D(partner, a, full, qs[0])
+		}
+		return e.pair2D(a, partner, qs[0], full)
+	}
+	f, _, err := mwem.AnswerRange(qs, e.pair2D, e.wu)
+	return f, err
 }
 
 func streamingWorkload(t *testing.T, d, c int) []query.Query {
@@ -189,22 +222,36 @@ func TestMSWStreamingMatchesReportPath(t *testing.T) {
 	assertSameAnswers(t, streamed, reference, streamingWorkload(t, ds.D(), ds.C))
 }
 
-// TestCALMStreamingMatchesReportPath covers both adaptive-oracle regimes:
-// c = 16 gives an OLH folder (c² = 256 ≤ the Hadamard threshold), while
-// c = 128 crosses it (c² = 2¹⁴) and exercises the Hadamard signed counts.
+// TestCALMStreamingMatchesReportPath pins CALM, which runs on TDG's
+// pair-grid protocol at g₂ = c, to the seed's aggregation and answer rule in
+// all three adaptive-oracle regimes: c = 4 at ε = 2 gives GRR
+// (c² − 2 = 14 < 3e² ≈ 22.2), c = 16 OLH (c² = 256 ≤ the Hadamard
+// threshold), and c = 128 crosses that threshold (c² = 2¹⁴) and exercises
+// the Hadamard signed counts.
 func TestCALMStreamingMatchesReportPath(t *testing.T) {
-	for _, c := range []int{16, 128} {
-		ds := correlatedDS(t, 9000, 3, c)
-		p := mech.Params{N: ds.N(), D: ds.D(), C: ds.C, Eps: 1.0, Seed: 72}
-		prI, err := NewCALM().Protocol(p)
+	for _, tc := range []struct {
+		c      int
+		eps    float64
+		oracle string
+	}{{4, 2.0, "grr"}, {16, 1.0, "olh"}, {128, 1.0, "hadamard"}} {
+		ds := correlatedDS(t, 9000, 3, tc.c)
+		p := mech.Params{N: ds.N(), D: ds.D(), C: ds.C, Eps: tc.eps, Seed: 72}
+		if o, err := fo.NewAuto(p.Eps, p.C*p.C); err != nil || o.Name() != tc.oracle {
+			t.Fatalf("c=%d ε=%g: NewAuto gives %v (err %v), want %s", tc.c, tc.eps, o, err, tc.oracle)
+		}
+		pr, err := NewCALM().Protocol(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr := prI.(*calmProtocol)
 		reports, byGroup := clientReports(t, pr, ds)
 		streamed := submitAll(t, pr, reports)
-		reference := seedFinalizeCALM(t, pr, byGroup)
-		assertSameAnswers(t, streamed, reference, streamingWorkload(t, ds.D(), ds.C))
+		reference := seedFinalizeCALM(t, p, byGroup)
+		qs := streamingWorkload(t, ds.D(), ds.C)
+		three, err := query.RandomWorkload(ldprand.New(29), 5, 3, ds.D(), ds.C, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswers(t, streamed, reference, append(qs, three...))
 	}
 }
 
@@ -340,11 +387,7 @@ func seedFinalizeLHIO(t *testing.T, pr *lhioProtocol, byGroup [][]mech.Report) m
 			t.Fatal(err)
 		}
 	}
-	rounds := pr.opts.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < lhioRounds; r++ {
 		for a := 0; a < d; a++ {
 			crossPairConsistency(tree, levels, pairs, freq, a)
 		}
@@ -354,10 +397,7 @@ func seedFinalizeLHIO(t *testing.T, pr *lhioProtocol, byGroup [][]mech.Report) m
 			}
 		}
 	}
-	wu := pr.opts.WU
-	if wu.Tol <= 0 {
-		wu.Tol = 1 / float64(n)
-	}
+	wu := mwem.Options{Tol: 1 / float64(n)}
 	return &lhioEstimator{c: pr.p.C, d: d, tree: tree, levels: levels, freq: freq, wu: wu}
 }
 

@@ -83,9 +83,9 @@ func TestHDGPair2DGolden(t *testing.T) {
 	}
 }
 
-// TestHDGEagerMatrices checks the warm-up option: every response matrix is
-// built at Finalize and answers match the lazy path exactly.
-func TestHDGEagerMatrices(t *testing.T) {
+// TestHDGPrecomputeMatrices checks the warm-up: PrecomputeMatrices builds
+// every response matrix, and answers match the lazy path exactly.
+func TestHDGPrecomputeMatrices(t *testing.T) {
 	ds, err := dataset.ByName("normal", dataset.GenOptions{N: 10_000, D: 3, C: 32, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -94,13 +94,16 @@ func TestHDGEagerMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := NewHDG(Options{EagerMatrices: true}).fit(ds, 1.0, ldprand.New(3))
+	eager, err := NewHDG(Options{}).fit(ds, 1.0, ldprand.New(3))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eager.PrecomputeMatrices(); err != nil {
 		t.Fatal(err)
 	}
 	for pi := range eager.atoms {
 		if eager.atoms[pi] == nil {
-			t.Fatalf("pair %d response matrix not built at Finalize", pi)
+			t.Fatalf("pair %d response matrix not built by PrecomputeMatrices", pi)
 		}
 	}
 	rng := ldprand.New(6)

@@ -240,11 +240,5 @@ func (pr *hdgProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) (
 	if wu.Tol <= 0 {
 		wu.Tol = 1 / float64(max(pr.p.N, 1))
 	}
-	est := newHDGEstimator(cc, d, pr.g1, pr.g2, grids1, grids2, wu, pr.opts.CollectTraces)
-	if pr.opts.EagerMatrices {
-		if err := est.PrecomputeMatrices(); err != nil {
-			return nil, err
-		}
-	}
-	return est, nil
+	return newHDGEstimator(cc, d, pr.g1, pr.g2, grids1, grids2, wu, pr.opts.CollectTraces), nil
 }

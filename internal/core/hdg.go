@@ -95,8 +95,8 @@ func (h *HDG) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estima
 }
 
 // postProcessHybrid runs Phase 2 for HDG: each attribute's views are its 1-D
-// grid (|S| = g₁/g₂ cells per coarse bucket) and its d−1 2-D footprints
-// (|S| = g₂ each).
+// grid (|S| = g₁/g₂ cells per coarse bucket), when grids1 is non-nil, and
+// its d−1 2-D footprints (|S| = g₂ each).
 func postProcessHybrid(d int, grids1 []*grid.Grid1D, grids2 []*grid.Grid2D, rounds int) error {
 	pairs := mech.AllPairs(d)
 	pipeline := &consistency.Pipeline{
@@ -110,8 +110,10 @@ func postProcessHybrid(d int, grids1 []*grid.Grid1D, grids2 []*grid.Grid2D, roun
 			}
 		},
 		AttrViews: func(a int) []consistency.View {
-			g2 := grids2[0].G
-			views := []consistency.View{consistency.Grid1DView(grids1[a], g2)}
+			var views []consistency.View
+			if grids1 != nil {
+				views = append(views, consistency.Grid1DView(grids1[a], grids2[0].G))
+			}
 			for pi, pair := range pairs {
 				g := grids2[pi]
 				switch a {
@@ -178,7 +180,7 @@ func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
 
 // PrecomputeMatrices builds every pair's response matrix up front instead of
 // on first use — the warm-up a long-lived query server performs before
-// taking traffic (Options.EagerMatrices runs it at Finalize).
+// taking traffic (privmdr.WarmEstimator runs it on every serving path).
 func (e *hdgEstimator) PrecomputeMatrices() error {
 	for pi, pair := range mech.AllPairs(e.d) {
 		if _, err := e.responseMatrix(pi, pair[0], pair[1]); err != nil {
@@ -222,18 +224,15 @@ func (e *hdgEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
 	return ans + partial, nil
 }
 
+// oneD answers a 1-D query from the attribute's fine-grained 1-D grid; its
+// cells are c/g₁ wide, so the residual uniformity error is negligible.
+func (e *hdgEstimator) oneD(p query.Pred) float64 {
+	return e.grids1[p.Attr].AnswerUniform(p.Lo, p.Hi)
+}
+
 // Answer implements mech.Estimator. Safe for concurrent use.
 func (e *hdgEstimator) Answer(q query.Query) (float64, error) {
-	if err := q.Validate(e.d, e.c); err != nil {
-		return 0, err
-	}
-	qs := q.Sorted()
-	if len(qs) == 1 {
-		// 1-D query: the fine-grained 1-D grid answers directly; its cells
-		// are c/g₁ wide, so the residual uniformity error is negligible.
-		return e.grids1[qs[0].Attr].AnswerUniform(qs[0].Lo, qs[0].Hi), nil
-	}
-	f, trace, err := mwem.AnswerRange(qs, e.pair2D, e.wu)
+	f, trace, err := mwem.Answer(q, e.d, e.c, e.oneD, e.pair2D, e.wu)
 	if err != nil {
 		return 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"sync"
 
-	"privmdr/internal/consistency"
 	"privmdr/internal/dataset"
 	"privmdr/internal/fo"
 	"privmdr/internal/grid"
@@ -40,10 +39,6 @@ type Options struct {
 	// CollectTraces keeps Algorithm 1/2 convergence traces on the estimator
 	// (Figures 17–18).
 	CollectTraces bool
-	// EagerMatrices builds every HDG response matrix at Finalize instead of
-	// lazily on first use — the warm-up a query server wants so the first
-	// query is as fast as the millionth. Ignored by TDG.
-	EagerMatrices bool
 }
 
 func (o Options) withDefaults() Options {
@@ -78,9 +73,9 @@ func (t *TDG) Name() string {
 	return "TDG"
 }
 
-// tdgEstimator answers queries from the post-processed pair grids. The
-// grids are sealed at Finalize and never mutated afterwards, so Answer and
-// AnswerBatch are safe for concurrent use.
+// tdgEstimator answers queries from the post-processed pair grids (TDG's,
+// and CALM's at g₂ = c). The grids are sealed at Finalize and never mutated
+// afterwards, so Answer and AnswerBatch are safe for concurrent use.
 type tdgEstimator struct {
 	c, d  int
 	g2    int
@@ -100,8 +95,8 @@ func (t *TDG) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estima
 	return mech.FitViaProtocol(t, ds, eps, rng)
 }
 
-// tdgProtocol is the deployment-shaped face of TDG: one g₂×g₂ grid — and
-// one user group — per attribute pair.
+// tdgProtocol is the pair-grid protocol of TDG and CALM: one g₂×g₂ grid —
+// and one user group — per attribute pair.
 type tdgProtocol struct {
 	mechName string
 	p        mech.Params
@@ -109,7 +104,7 @@ type tdgProtocol struct {
 	g2       int
 	pairs    [][2]int
 	as       *mech.Assigner
-	o2       *fo.OLH // shared oracle, domain g2²
+	o2       fo.Oracle // shared oracle, domain g2²
 }
 
 // Protocol implements mech.Mechanism for TDG.
@@ -129,19 +124,30 @@ func (t *TDG) Protocol(p mech.Params) (mech.Protocol, error) {
 			return nil, err
 		}
 	}
-	if p.C%g2 != 0 {
-		return nil, fmt.Errorf("core: granularity g2=%d does not divide domain %d", g2, p.C)
+	o2, err := fo.NewOLH(p.Eps, g2*g2)
+	if err != nil {
+		return nil, err
+	}
+	return NewPairGridProtocol(t.Name(), p, g2, o2, opts)
+}
+
+// NewPairGridProtocol returns the pair-grid protocol of Section 4.1: one
+// user group per attribute pair, each reporting its g×g grid cell through
+// oracle, whose domain must be g². The aggregator runs Phase 2 (unless
+// opts.SkipPostProcess) and answers from the sealed grids, λ > 2 through
+// Algorithm 2. TDG calls it with its guideline g₂ and OLH; CALM with g = c
+// and the adaptive oracle, where every cell is one value pair. p must
+// already be validated.
+func NewPairGridProtocol(name string, p mech.Params, g int, oracle fo.Oracle, opts Options) (mech.Protocol, error) {
+	if p.C%g != 0 {
+		return nil, fmt.Errorf("core: granularity g2=%d does not divide domain %d", g, p.C)
 	}
 	pairs := mech.AllPairs(p.D)
 	as, err := mech.NewAssigner(p.Seed, mech.EvenBounds(p.N, len(pairs)))
 	if err != nil {
 		return nil, err
 	}
-	o2, err := fo.NewOLH(p.Eps, g2*g2)
-	if err != nil {
-		return nil, err
-	}
-	return &tdgProtocol{mechName: t.Name(), p: p, opts: opts, g2: g2, pairs: pairs, as: as, o2: o2}, nil
+	return &tdgProtocol{mechName: name, p: p, opts: opts.withDefaults(), g2: g, pairs: pairs, as: as, o2: oracle}, nil
 }
 
 // Name implements mech.Protocol.
@@ -178,7 +184,7 @@ func (pr *tdgProtocol) ClientReport(a mech.Assignment, record []int, rng *rand.R
 }
 
 // NewCollector implements mech.Protocol. The collector streams each report
-// into its pair grid's OLH support vector (see mech.CountIngest), keeping
+// into its pair grid's oracle statistic (see mech.CountIngest), keeping
 // memory O(pairs × g₂²) regardless of the user count.
 func (pr *tdgProtocol) NewCollector() (mech.Collector, error) {
 	f2, err := fo.NewFolder(pr.o2)
@@ -226,33 +232,11 @@ func (pr *tdgProtocol) estimate(f2 *fo.Folder, byGroup []mech.GroupCounts) (mech
 	}, nil
 }
 
-// postProcess2D runs Phase 2 over a pure 2-D grid collection (TDG): for
-// every attribute, the views are its row/column footprints in the d−1 grids
-// containing it, each contributing |S| = g₂ cells per coarse bucket.
+// postProcess2D runs Phase 2 over a pure 2-D grid collection (TDG, CALM):
+// for every attribute, the views are its row/column footprints in the d−1
+// grids containing it, each contributing |S| = g₂ cells per coarse bucket.
 func postProcess2D(d int, grids []*grid.Grid2D, rounds int) error {
-	pipeline := &consistency.Pipeline{
-		Attrs: d,
-		NormSubAll: func() {
-			for _, g := range grids {
-				consistency.NormSub(g.Freq, 1)
-			}
-		},
-		AttrViews: func(a int) []consistency.View {
-			var views []consistency.View
-			pairs := mech.AllPairs(d)
-			for pi, pair := range pairs {
-				g := grids[pi]
-				switch a {
-				case pair[0]:
-					views = append(views, consistency.GridRowView(g))
-				case pair[1]:
-					views = append(views, consistency.GridColView(g))
-				}
-			}
-			return views
-		},
-	}
-	return pipeline.Run(rounds)
+	return postProcessHybrid(d, nil, grids, rounds)
 }
 
 // pair2D answers the 2-D query restricting attribute a to pa and b to pb
@@ -267,21 +251,7 @@ func (e *tdgEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
 
 // Answer implements mech.Estimator. Safe for concurrent use.
 func (e *tdgEstimator) Answer(q query.Query) (float64, error) {
-	if err := q.Validate(e.d, e.c); err != nil {
-		return 0, err
-	}
-	qs := q.Sorted()
-	if len(qs) == 1 {
-		// 1-D query: marginalize the grid of (a, partner) over the partner.
-		a := qs[0].Attr
-		partner := (a + 1) % e.d
-		full := query.Pred{Attr: partner, Lo: 0, Hi: e.c - 1}
-		if partner < a {
-			return e.pair2D(partner, a, full, qs[0])
-		}
-		return e.pair2D(a, partner, qs[0], full)
-	}
-	f, trace, err := mwem.AnswerRange(qs, e.pair2D, e.wu)
+	f, trace, err := mwem.Answer(q, e.d, e.c, nil, e.pair2D, e.wu)
 	if err != nil {
 		return 0, err
 	}

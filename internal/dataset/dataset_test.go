@@ -364,7 +364,7 @@ func TestPairCorrelationDegenerate(t *testing.T) {
 }
 
 func TestCorrelationTargetsByGenerator(t *testing.T) {
-	// The factor loadings documented in DESIGN.md: Loan ρ≈0.4, Acs ρ≈0.5.
+	// The factor loadings LoanLike and AcsLike document: Loan ρ≈0.4, Acs ρ≈0.5.
 	loan, _ := LoanLike(opt(30000, 3, 64))
 	if r := loan.PairCorrelation(0, 1); r < 0.25 || r > 0.55 {
 		t.Errorf("LoanLike correlation %g, want ≈ 0.4", r)

@@ -17,8 +17,8 @@ import (
 // c² ≥ 2^20 marginal domains CALM and LHIO face at c = 2^10 (Figure 3). Its
 // variance, (e^ε+1)²/((e^ε−1)² n), is within a small constant of OLH's
 // 4e^ε/((e^ε−1)² n) (ratio ≈ 1.27 at ε = 1), so substituting it above a
-// domain-size threshold preserves every qualitative comparison; DESIGN.md
-// records the substitution.
+// domain-size threshold preserves every qualitative comparison; NewAuto
+// makes the substitution above autoHadamardThreshold.
 type Hadamard struct {
 	eps  float64
 	c    int

@@ -7,8 +7,10 @@
 //     (λ choose 2) associated 2-D answers (Section 4.4);
 //
 // plus the Maximum-Entropy estimation of Appendix A.8 (used as an accuracy
-// and convergence cross-check) and the AnswerRange helper every
-// pairwise-decomposition mechanism (TDG, HDG, CALM, LHIO) answers through.
+// and convergence cross-check) and Answer, the one answering function of
+// every pairwise-decomposition mechanism (TDG, HDG, CALM, LHIO): a λ-D
+// query is answered from its associated 2-D answers (Section 4.4), with
+// AnswerRange as its λ ≥ 2 half.
 //
 // Both algorithms report a per-sweep L1 change trace, which the harness uses
 // to regenerate the Figure 17/18 convergence plots.
@@ -254,6 +256,35 @@ func MaxEntVector(lambda int, answers []PairAnswer, opts Options) ([]float64, []
 // Pair2DFunc answers the 2-D range query that restricts attribute a to
 // [pa.Lo, pa.Hi] and attribute b to [pb.Lo, pb.Hi] (a < b by attribute id).
 type Pair2DFunc func(a, b int, pa, pb query.Pred) (float64, error)
+
+// Answer answers a range query against a d-attribute, domain-c schema
+// through its pairwise decomposition. It validates q and sorts its
+// predicates by attribute. A 1-D query goes to oneD when that is non-nil
+// (HDG's fine 1-D grids); otherwise it is the marginal of the pair
+// (a, a+1 mod d) over the partner's full range. A λ-D query with λ ≥ 2 goes
+// through AnswerRange. It returns the estimate and the Algorithm 2
+// convergence trace (nil for λ ≤ 2).
+func Answer(q query.Query, d, c int, oneD func(query.Pred) float64, pair2D Pair2DFunc, opts Options) (float64, []float64, error) {
+	if err := q.Validate(d, c); err != nil {
+		return 0, nil, err
+	}
+	qs := q.Sorted()
+	if len(qs) > 1 {
+		return AnswerRange(qs, pair2D, opts)
+	}
+	if oneD != nil {
+		return oneD(qs[0]), nil, nil
+	}
+	a := qs[0].Attr
+	partner := (a + 1) % d
+	full := query.Pred{Attr: partner, Lo: 0, Hi: c - 1}
+	if partner < a {
+		f, err := pair2D(partner, a, full, qs[0])
+		return f, nil, err
+	}
+	f, err := pair2D(a, partner, qs[0], full)
+	return f, nil, err
+}
 
 // AnswerRange answers a λ-D range query (λ ≥ 2) through its pairwise
 // decomposition: directly for λ = 2, via Algorithm 2 otherwise. It returns

@@ -361,6 +361,38 @@ func TestAnswerRangeLambda1Error(t *testing.T) {
 	}
 }
 
+// TestAnswerOneD checks Answer's 1-D dispatch: without oneD a query on
+// attribute a is the marginal of the pair (a, a+1 mod d) over the partner's
+// full range, with the pair in attribute order; oneD takes over when given;
+// an invalid query fails before any lookup.
+func TestAnswerOneD(t *testing.T) {
+	const d, c = 3, 8
+	for a, want := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		q := query.Query{{Attr: a, Lo: 2, Hi: 5}}
+		full := query.Pred{Attr: want[0] + want[1] - a, Lo: 0, Hi: c - 1}
+		wantPreds := [2]query.Pred{q[0], full}
+		if a != want[0] {
+			wantPreds = [2]query.Pred{full, q[0]}
+		}
+		f, trace, err := Answer(q, d, c, nil, func(x, y int, px, py query.Pred) (float64, error) {
+			if [2]int{x, y} != want || [2]query.Pred{px, py} != wantPreds {
+				t.Errorf("attribute %d: pair2D(%d, %d, %v, %v), want %v %v", a, x, y, px, py, want, wantPreds)
+			}
+			return 0.25, nil
+		}, Options{})
+		if err != nil || f != 0.25 || trace != nil {
+			t.Errorf("attribute %d: got (%g, %v, %v)", a, f, trace, err)
+		}
+	}
+	oneD := func(p query.Pred) float64 { return float64(p.Hi - p.Lo) }
+	if f, _, err := Answer(query.Query{{Attr: 2, Lo: 1, Hi: 4}}, d, c, oneD, nil, Options{}); err != nil || f != 3 {
+		t.Errorf("oneD path: got (%g, %v), want 3", f, err)
+	}
+	if _, _, err := Answer(query.Query{{Attr: 0, Lo: 0, Hi: c}}, d, c, oneD, nil, Options{}); err == nil {
+		t.Error("out-of-domain query should fail")
+	}
+}
+
 func TestAnswerRangeMaxEntMethod(t *testing.T) {
 	marg := map[int]float64{0: 0.5, 1: 0.4, 2: 0.25}
 	q := query.Query{{Attr: 0, Lo: 0, Hi: 1}, {Attr: 1, Lo: 0, Hi: 1}, {Attr: 2, Lo: 0, Hi: 1}}

@@ -335,8 +335,8 @@ func DiffStates(cur, prev CollectorState) (CollectorState, error) {
 }
 
 // GenerateDataset draws a synthetic dataset by generator name: "ipums",
-// "bfive", "normal", "laplace", "loan", "acs", or "uniform" (see DESIGN.md
-// for what each simulates).
+// "bfive", "normal", "laplace", "loan", "acs", or "uniform". The generators
+// in internal/dataset document what each simulates.
 func GenerateDataset(name string, opt GenOptions) (*Dataset, error) {
 	return dataset.ByName(name, opt)
 }
