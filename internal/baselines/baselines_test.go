@@ -278,6 +278,31 @@ func TestLHIOOneDimensional(t *testing.T) {
 	}
 }
 
+// TestLHIOAnswerZeroAlloc pins LHIO's λ ≤ 2 answer path at zero heap
+// allocations: both axes decompose into arrays on pair2D's stack. λ ≥ 3
+// runs Algorithm 2, whose own allocations stay, and a query whose
+// predicates are out of attribute order pays query.Sorted's copy.
+func TestLHIOAnswerZeroAlloc(t *testing.T) {
+	ds := correlatedDS(t, 20000, 3, 64)
+	est, err := NewLHIO().Fit(ds, 1.0, ldprand.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []query.Query{
+		{{Attr: 2, Lo: 5, Hi: 50}},
+		{{Attr: 0, Lo: 7, Hi: 40}, {Attr: 2, Lo: 1, Hi: 62}},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := est.Answer(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("λ = %d: LHIO Answer allocates %g objects/op, want 0", len(q), allocs)
+		}
+	}
+}
+
 func TestLHIOBeatsHIO(t *testing.T) {
 	// Section 3.4's claim, reproduced at small scale with a fixed seed.
 	ds := correlatedDS(t, 30000, 3, 16)
@@ -405,23 +430,6 @@ func TestLHIOLeafMarginalsAgreeAcrossPairs(t *testing.T) {
 		if math.Abs(m01[v]-m02[v]) > 0.05 {
 			t.Errorf("leaf marginal of a0 disagrees at %d: %g vs %g", v, m01[v], m02[v])
 		}
-	}
-}
-
-func TestMSWNoSmoothOption(t *testing.T) {
-	ds := uniformDS(t, 20000, 2, 16)
-	m := &MSW{NoSmooth: true, EMIters: 50}
-	est, err := m.Fit(ds, 2.0, ldprand.New(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.Query{{Attr: 0, Lo: 0, Hi: 7}}
-	got, err := est.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.5) > 0.1 {
-		t.Errorf("plain-EM MSW answer %g, want ≈ 0.5", got)
 	}
 }
 

@@ -290,7 +290,7 @@ func (e *hioEstimator) Answer(q query.Query) (float64, error) {
 	pieces := make([][]hierarchy.Node, e.d)
 	combos := 1
 	for t, r := range ranges {
-		nodes, err := e.tree.Decompose(r[0], r[1])
+		nodes, err := e.tree.Decompose(nil, r[0], r[1])
 		if err != nil {
 			return 0, err
 		}

@@ -17,12 +17,7 @@ import (
 // multi-dimensional query is answered by the product of its 1-D answers —
 // an implicit independence assumption that fails exactly when attributes
 // correlate.
-type MSW struct {
-	// EMIters caps the EM reconstruction loop (0 → the sw default).
-	EMIters int
-	// Smooth selects EMS over plain EM (the paper's choice). Defaults on.
-	NoSmooth bool
-}
+type MSW struct{}
 
 // NewMSW returns an MSW mechanism with the paper's EMS reconstruction.
 func NewMSW() *MSW { return &MSW{} }
@@ -40,13 +35,12 @@ func (m *MSW) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estima
 // index of the perturbed point.
 type mswProtocol struct {
 	p    mech.Params
-	opts MSW
 	wave *sw.SW // one instance: every attribute shares the domain
 	as   *mech.Assigner
 }
 
 // Protocol implements mech.Mechanism.
-func (m *MSW) Protocol(p mech.Params) (mech.Protocol, error) {
+func (*MSW) Protocol(p mech.Params) (mech.Protocol, error) {
 	if err := p.Validate(1); err != nil {
 		return nil, err
 	}
@@ -58,7 +52,7 @@ func (m *MSW) Protocol(p mech.Params) (mech.Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mswProtocol{p: p, opts: *m, wave: wave, as: as}, nil
+	return &mswProtocol{p: p, wave: wave, as: as}, nil
 }
 
 // Name implements mech.Protocol.
@@ -119,7 +113,7 @@ func (pr *mswProtocol) NewCollector() (mech.Collector, error) {
 	return mech.NewCountCollector(pr, check, specs, pr.estimate)
 }
 
-// estimate runs EM(S) over each attribute's streamed bucket histogram and
+// estimate runs EMS over each attribute's streamed bucket histogram and
 // answers queries as products of 1-D range answers.
 func (pr *mswProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, cc := pr.p.D, pr.p.C
@@ -127,7 +121,7 @@ func (pr *mswProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, err
 	// distribution, so a 1-D range answer is one subtraction.
 	cdf := make([][]float64, d)
 	for a := 0; a < d; a++ {
-		dist, err := pr.wave.Reconstruct64(byGroup[a].Counts, sw.EMOptions{MaxIters: pr.opts.EMIters, Smooth: !pr.opts.NoSmooth})
+		dist, err := pr.wave.Reconstruct(byGroup[a].Counts)
 		if err != nil {
 			return nil, err
 		}

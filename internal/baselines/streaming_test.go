@@ -15,7 +15,6 @@ import (
 	"privmdr/internal/mech"
 	"privmdr/internal/mwem"
 	"privmdr/internal/query"
-	"privmdr/internal/sw"
 )
 
 // Streaming golden tests: the collectors fold reports into count vectors at
@@ -85,11 +84,11 @@ func seedFinalizeMSW(t *testing.T, pr *mswProtocol, byGroup [][]mech.Report) mec
 	d, cc := pr.p.D, pr.p.C
 	cdf := make([][]float64, d)
 	for a := 0; a < d; a++ {
-		buckets := make([]int, pr.wave.B)
+		buckets := make([]int64, pr.wave.B)
 		for _, r := range byGroup[a] {
 			buckets[r.Value]++
 		}
-		dist, err := pr.wave.Reconstruct(buckets, sw.EMOptions{MaxIters: pr.opts.EMIters, Smooth: !pr.opts.NoSmooth})
+		dist, err := pr.wave.Reconstruct(buckets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +283,7 @@ func (e *seedHIOEstimator) Answer(q query.Query) (float64, error) {
 	pieces := make([][]hierarchy.Node, e.d)
 	combos := 1
 	for t, r := range ranges {
-		nodes, err := e.tree.Decompose(r[0], r[1])
+		nodes, err := seedDecompose(e.tree, r[0], r[1])
 		if err != nil {
 			return 0, err
 		}
@@ -357,7 +356,8 @@ func seedFinalizeHIO(t *testing.T, pr *hioProtocol, byGroup [][]mech.Report) mec
 
 // seedFinalizeLHIO is the seed's lhioCollector.estimate over explicit
 // report multisets — eager EstimateAll per level table, then the unchanged
-// consistency stages — preserved verbatim as the golden reference.
+// consistency stages — preserved verbatim as the golden reference, and
+// answering through the seed's answer rule.
 func seedFinalizeLHIO(t *testing.T, pr *lhioProtocol, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
 	d, n := pr.p.D, pr.p.N
@@ -398,7 +398,85 @@ func seedFinalizeLHIO(t *testing.T, pr *lhioProtocol, byGroup [][]mech.Report) m
 		}
 	}
 	wu := mwem.Options{Tol: 1 / float64(n)}
-	return &lhioEstimator{c: pr.p.C, d: d, tree: tree, levels: levels, freq: freq, wu: wu}
+	return &seedLHIOEstimator{c: pr.p.C, d: d, tree: tree, levels: levels, freq: freq, wu: wu}
+}
+
+// seedLHIOEstimator is the seed's lhioEstimator answer rule preserved
+// verbatim, over the seed's recursive Decompose, so the LHIO pin checks the
+// 1-D partner, the dispatch and the node order as well as aggregation.
+type seedLHIOEstimator struct {
+	c, d   int
+	tree   *hierarchy.Tree
+	levels int
+	freq   [][][]float64
+	wu     mwem.Options
+}
+
+func (e *seedLHIOEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
+	pi, err := mech.PairIndex(e.d, a, b)
+	if err != nil {
+		return 0, err
+	}
+	nodesA, err := seedDecompose(e.tree, pa.Lo, pa.Hi)
+	if err != nil {
+		return 0, err
+	}
+	nodesB, err := seedDecompose(e.tree, pb.Lo, pb.Hi)
+	if err != nil {
+		return 0, err
+	}
+	ans := 0.0
+	for _, na := range nodesA {
+		for _, nb := range nodesB {
+			k2 := e.tree.CountAt(nb.Level)
+			ans += e.freq[pi][na.Level*e.levels+nb.Level][na.Index*k2+nb.Index]
+		}
+	}
+	return ans, nil
+}
+
+func (e *seedLHIOEstimator) Answer(q query.Query) (float64, error) {
+	if err := q.Validate(e.d, e.c); err != nil {
+		return 0, err
+	}
+	qs := q.Sorted()
+	if len(qs) == 1 {
+		a := qs[0].Attr
+		partner := (a + 1) % e.d
+		full := query.Pred{Attr: partner, Lo: 0, Hi: e.c - 1}
+		if partner < a {
+			return e.pair2D(partner, a, full, qs[0])
+		}
+		return e.pair2D(a, partner, qs[0], full)
+	}
+	f, _, err := mwem.AnswerRange(qs, e.pair2D, e.wu)
+	return f, err
+}
+
+// seedDecompose is the seed's recursive hierarchy.Tree.Decompose preserved
+// verbatim: the HIO and LHIO references walk their ranges through it.
+func seedDecompose(t *hierarchy.Tree, lo, hi int) ([]hierarchy.Node, error) {
+	if lo < 0 || hi >= t.C || lo > hi {
+		return nil, fmt.Errorf("hierarchy: range [%d,%d] invalid for domain %d", lo, hi, t.C)
+	}
+	var out []hierarchy.Node
+	var rec func(level, idx int)
+	rec = func(level, idx int) {
+		nLo, nHi := t.Interval(level, idx)
+		if nLo > hi || nHi < lo {
+			return
+		}
+		if nLo >= lo && nHi <= hi {
+			out = append(out, hierarchy.Node{Level: level, Index: idx})
+			return
+		}
+		f := t.ChildFactor(level)
+		for ch := 0; ch < f; ch++ {
+			rec(level+1, idx*f+ch)
+		}
+	}
+	rec(0, 0)
+	return out, nil
 }
 
 func TestHIOStreamingMatchesReportPath(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"privmdr/internal/grid"
 	"privmdr/internal/ldprand"
 	"privmdr/internal/mech"
+	"privmdr/internal/mwem"
 	"privmdr/internal/query"
 )
 
@@ -110,7 +111,8 @@ func seedFinalizeHDG(t *testing.T, pr *hdgProtocol, byGroup [][]mech.Report) mec
 	return newHDGEstimator(cc, d, pr.g1, pr.g2, grids1, grids2, wu, pr.opts.CollectTraces)
 }
 
-// seedFinalizeTDG is the seed's tdgCollector.Finalize preserved verbatim.
+// seedFinalizeTDG is the seed's tdgCollector.Finalize preserved verbatim,
+// answering through the seed's answer rule.
 func seedFinalizeTDG(t *testing.T, pr *tdgProtocol, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
 	grids := make([]*grid.Grid2D, len(pr.pairs))
@@ -134,12 +136,44 @@ func seedFinalizeTDG(t *testing.T, pr *tdgProtocol, byGroup [][]mech.Report) mec
 	for _, g := range grids {
 		g.Seal()
 	}
-	return &tdgEstimator{
-		c: pr.p.C, d: pr.p.D, g2: pr.g2,
-		grids:  grids,
-		wu:     wu,
-		traces: pr.opts.CollectTraces,
+	return &seedTDGEstimator{c: pr.p.C, d: pr.p.D, grids: grids, wu: wu}
+}
+
+// seedTDGEstimator is the seed's tdgEstimator answer rule preserved
+// verbatim, less its trace capture (the pin runs without CollectTraces),
+// so the TDG pin checks the 1-D partner and the dispatch as well as
+// aggregation.
+type seedTDGEstimator struct {
+	c, d  int
+	grids []*grid.Grid2D
+	wu    mwem.Options
+}
+
+func (e *seedTDGEstimator) pair2D(a, b int, pa, pb query.Pred) (float64, error) {
+	pi, err := mech.PairIndex(e.d, a, b)
+	if err != nil {
+		return 0, err
 	}
+	return e.grids[pi].AnswerUniform(pa.Lo, pa.Hi, pb.Lo, pb.Hi), nil
+}
+
+func (e *seedTDGEstimator) Answer(q query.Query) (float64, error) {
+	if err := q.Validate(e.d, e.c); err != nil {
+		return 0, err
+	}
+	qs := q.Sorted()
+	if len(qs) == 1 {
+		// 1-D query: marginalize the grid of (a, partner) over the partner.
+		a := qs[0].Attr
+		partner := (a + 1) % e.d
+		full := query.Pred{Attr: partner, Lo: 0, Hi: e.c - 1}
+		if partner < a {
+			return e.pair2D(partner, a, full, qs[0])
+		}
+		return e.pair2D(a, partner, qs[0], full)
+	}
+	f, _, err := mwem.AnswerRange(qs, e.pair2D, e.wu)
+	return f, err
 }
 
 func streamingWorkload(t *testing.T, d, c int) []query.Query {
@@ -169,16 +203,25 @@ func TestHDGStreamingMatchesReportPath(t *testing.T) {
 	assertSameAnswers(t, streamed, reference, streamingWorkload(t, ds.D(), ds.C))
 }
 
+// TestTDGStreamingMatchesReportPath runs ITDG beside TDG: post-processing
+// makes each attribute's marginal agree across its pair grids, so TDG's 1-D
+// answers can come out the same through either partner, while ITDG's raw
+// grids pin which partner the answer rule picks.
 func TestTDGStreamingMatchesReportPath(t *testing.T) {
 	ds := correlatedDS(t, 20000, 3, 32)
-	p := mech.Params{N: ds.N(), D: ds.D(), C: ds.C, Eps: 1.0, Seed: 62}
-	prI, err := NewTDG(Options{}).Protocol(p)
-	if err != nil {
-		t.Fatal(err)
+	for _, opts := range []Options{{}, {SkipPostProcess: true}} {
+		m := NewTDG(opts)
+		t.Run(m.Name(), func(t *testing.T) {
+			p := mech.Params{N: ds.N(), D: ds.D(), C: ds.C, Eps: 1.0, Seed: 62}
+			prI, err := m.Protocol(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := prI.(*tdgProtocol)
+			reports, byGroup := clientReports(t, pr, ds)
+			streamed := submitAll(t, pr, reports)
+			reference := seedFinalizeTDG(t, pr, byGroup)
+			assertSameAnswers(t, streamed, reference, streamingWorkload(t, ds.D(), ds.C))
+		})
 	}
-	pr := prI.(*tdgProtocol)
-	reports, byGroup := clientReports(t, pr, ds)
-	streamed := submitAll(t, pr, reports)
-	reference := seedFinalizeTDG(t, pr, byGroup)
-	assertSameAnswers(t, streamed, reference, streamingWorkload(t, ds.D(), ds.C))
 }

@@ -80,30 +80,36 @@ func (t *Tree) ChildFactor(level int) int {
 	return t.counts[level+1] / t.counts[level]
 }
 
-// Decompose returns the canonical minimal set of tree intervals whose
-// disjoint union is the inclusive range [lo, hi].
-func (t *Tree) Decompose(lo, hi int) ([]Node, error) {
+// Decompose appends to dst the canonical minimal set of tree intervals
+// whose disjoint union is the inclusive range [lo, hi], in depth-first
+// order (ascending by interval), and returns the extended slice. It
+// allocates only when dst lacks room.
+func (t *Tree) Decompose(dst []Node, lo, hi int) ([]Node, error) {
 	if lo < 0 || hi >= t.C || lo > hi {
-		return nil, fmt.Errorf("hierarchy: range [%d,%d] invalid for domain %d", lo, hi, t.C)
+		return dst, fmt.Errorf("hierarchy: range [%d,%d] invalid for domain %d", lo, hi, t.C)
 	}
-	var out []Node
-	var rec func(level, idx int)
-	rec = func(level, idx int) {
-		nLo, nHi := t.Interval(level, idx)
+	// Pending nodes, the next to visit on top: children are pushed last
+	// first, so nodes come out depth first, left to right. The stack holds
+	// at most (b−1)·H + 1 nodes; past the array it spills to the heap.
+	var buf [64]Node
+	stack := append(buf[:0], Node{})
+	for len(stack) > 0 {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nLo, nHi := t.Interval(nd.Level, nd.Index)
 		if nLo > hi || nHi < lo {
-			return
+			continue
 		}
 		if nLo >= lo && nHi <= hi {
-			out = append(out, Node{Level: level, Index: idx})
-			return
+			dst = append(dst, nd)
+			continue
 		}
-		f := t.ChildFactor(level)
-		for ch := 0; ch < f; ch++ {
-			rec(level+1, idx*f+ch)
+		f := t.ChildFactor(nd.Level)
+		for ch := f - 1; ch >= 0; ch-- {
+			stack = append(stack, Node{Level: nd.Level + 1, Index: nd.Index*f + ch})
 		}
 	}
-	rec(0, 0)
-	return out, nil
+	return dst, nil
 }
 
 // ConstrainedInference performs the two-pass consistency of Hay et al. over

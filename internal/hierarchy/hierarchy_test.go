@@ -104,13 +104,25 @@ func TestDecomposeExactCover(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			lo := rng.IntN(c)
 			hi := lo + rng.IntN(c-lo)
-			nodes, err := tr.Decompose(lo, hi)
+			// Decompose appends: the caller's prefix stays, and the nodes
+			// follow in ascending order.
+			sentinel := Node{Level: -1}
+			nodes, err := tr.Decompose([]Node{sentinel}, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if nodes[0] != sentinel {
+				t.Fatalf("c=%d [%d,%d]: dst prefix overwritten: %v", c, lo, hi, nodes[0])
+			}
+			nodes = nodes[1:]
 			covered := make([]int, c)
+			next := lo
 			for _, nd := range nodes {
 				nLo, nHi := tr.Interval(nd.Level, nd.Index)
+				if nLo != next {
+					t.Fatalf("c=%d [%d,%d]: node %v starts at %d, want %d", c, lo, hi, nd, nLo, next)
+				}
+				next = nHi + 1
 				for v := nLo; v <= nHi; v++ {
 					covered[v]++
 				}
@@ -136,7 +148,7 @@ func TestDecomposePieceBound(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		lo := rng.IntN(256)
 		hi := lo + rng.IntN(256-lo)
-		nodes, _ := tr.Decompose(lo, hi)
+		nodes, _ := tr.Decompose(nil, lo, hi)
 		if len(nodes) > bound {
 			t.Fatalf("[%d,%d]: %d pieces exceeds bound %d", lo, hi, len(nodes), bound)
 		}
@@ -145,7 +157,7 @@ func TestDecomposePieceBound(t *testing.T) {
 
 func TestDecomposeFullRangeIsRoot(t *testing.T) {
 	tr, _ := New(4, 64)
-	nodes, err := tr.Decompose(0, 63)
+	nodes, err := tr.Decompose(nil, 0, 63)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +168,7 @@ func TestDecomposeFullRangeIsRoot(t *testing.T) {
 
 func TestDecomposeSingleton(t *testing.T) {
 	tr, _ := New(4, 64)
-	nodes, err := tr.Decompose(17, 17)
+	nodes, err := tr.Decompose(nil, 17, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +180,7 @@ func TestDecomposeSingleton(t *testing.T) {
 func TestDecomposeErrors(t *testing.T) {
 	tr, _ := New(4, 64)
 	for _, r := range [][2]int{{-1, 5}, {5, 64}, {10, 5}} {
-		if _, err := tr.Decompose(r[0], r[1]); err == nil {
+		if _, err := tr.Decompose(nil, r[0], r[1]); err == nil {
 			t.Errorf("Decompose(%d,%d) should fail", r[0], r[1])
 		}
 	}

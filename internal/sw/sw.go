@@ -1,12 +1,12 @@
 // Package sw implements the Square Wave mechanism of Li et al. (SIGMOD 2020)
-// as described in Section 3.5 of the paper, together with the
-// Expectation-Maximization reconstruction (EM) and its smoothed variant
-// (EMS). It is the substrate of the MSW baseline.
+// as described in Section 3.5 of the paper, together with its smoothed
+// Expectation-Maximization reconstruction (EMS). It is the substrate of the
+// MSW baseline.
 //
 // A user's ordinal value v ∈ [0,c) is normalized to ṽ = (v+0.5)/c ∈ (0,1) and
 // reported as a point y ∈ [−δ, 1+δ]: values within distance δ of ṽ are
 // reported with (higher) density p, everything else with density p′. The
-// aggregator buckets the reports and runs EM against the bucketized
+// aggregator buckets the reports and runs EMS against the bucketized
 // transition matrix to recover the value distribution.
 package sw
 
@@ -26,6 +26,27 @@ type SW struct {
 	B     int     // number of report buckets
 
 	bucketWidth float64
+
+	// The index tables of the EM step (see reconstruct). They depend only
+	// on (ε, c), so every reconstruction through this instance shares them.
+	vt    []float64  // ṽ of each value
+	edges []emEdge   // one per bucket edge e_0 … e_B
+	ends  [][2]emEnd // each value's window ends ṽ − δ and ṽ + δ
+}
+
+// emEdge is bucket edge e = −δ + i·w, measured from −δ (x = e + δ = i·w),
+// with the counts of value windows it has passed entirely (full = #{v :
+// ṽ + δ ≤ e}) and reached (reached = #{v : ṽ − δ < e}).
+type emEdge struct {
+	x             float64
+	full, reached int
+}
+
+// emEnd locates a window end in the bucket grid: bucket k, at offset off
+// from its left edge e_k.
+type emEnd struct {
+	k   int
+	off float64
 }
 
 // New returns a Square Wave mechanism for domain size c under budget eps.
@@ -53,6 +74,29 @@ func New(eps float64, c int) (*SW, error) {
 		s.B = 32
 	}
 	s.bucketWidth = (1 + 2*delta) / float64(s.B)
+	// Window ends in the coordinate x = y + δ, in which value v's window is
+	// [ṽ, ṽ + 2δ] and bucket b is [b·w, (b+1)·w).
+	s.vt = make([]float64, c)
+	s.ends = make([][2]emEnd, c)
+	for v := range s.vt {
+		s.vt[v] = (float64(v) + 0.5) / float64(c)
+		for i, x := range [2]float64{s.vt[v], s.vt[v] + 2*delta} {
+			k := min(int(x/s.bucketWidth), s.B-1)
+			s.ends[v][i] = emEnd{k: k, off: x - float64(k)*s.bucketWidth}
+		}
+	}
+	s.edges = make([]emEdge, s.B+1)
+	full, reached := 0, 0
+	for i := range s.edges {
+		x := float64(i) * s.bucketWidth
+		for full < c && s.vt[full]+2*delta <= x {
+			full++
+		}
+		for reached < c && s.vt[reached] < x {
+			reached++
+		}
+		s.edges[i] = emEdge{x: x, full: full, reached: reached}
+	}
 	return s, nil
 }
 
@@ -86,69 +130,43 @@ func (s *SW) Bucket(y float64) int {
 	return b
 }
 
-// PerturbAll perturbs every value and returns per-bucket report counts.
-func (s *SW) PerturbAll(values []int, rng *rand.Rand) []int {
-	counts := make([]int, s.B)
-	for _, v := range values {
-		counts[s.Bucket(s.Perturb(v, rng))]++
-	}
-	return counts
+// MSW's one reconstruction configuration: EMS, stopped after emMaxIters
+// iterations or once an iteration moves the estimate by less than emTol in
+// L1.
+const (
+	emMaxIters = 400
+	emTol      = 1e-7
+)
+
+// Reconstruct runs EMS — EM with a binomial smoothing step each iteration —
+// over the per-bucket report histogram a streaming collector folds, and
+// returns the estimated value distribution (length C, sums to 1).
+func (s *SW) Reconstruct(bucketCounts []int64) ([]float64, error) {
+	f, _, err := s.reconstruct(bucketCounts)
+	return f, err
 }
 
-// TransitionMatrix returns M with M[b][v] = Pr[report lands in bucket b |
-// true value v]; each column sums to 1 (up to float error).
-func (s *SW) TransitionMatrix() [][]float64 {
-	m := make([][]float64, s.B)
-	for b := range m {
-		m[b] = make([]float64, s.C)
-	}
-	for v := 0; v < s.C; v++ {
-		vt := (float64(v) + 0.5) / float64(s.C)
-		inLo, inHi := vt-s.Delta, vt+s.Delta
-		for b := 0; b < s.B; b++ {
-			b0 := -s.Delta + float64(b)*s.bucketWidth
-			b1 := b0 + s.bucketWidth
-			overlap := math.Min(b1, inHi) - math.Max(b0, inLo)
-			if overlap < 0 {
-				overlap = 0
-			}
-			m[b][v] = s.P*overlap + s.PP*(s.bucketWidth-overlap)
-		}
-	}
-	return m
-}
-
-// EMOptions control the reconstruction loop.
-type EMOptions struct {
-	MaxIters int     // default 400
-	Tol      float64 // L1 change stopping threshold, default 1e-7
-	Smooth   bool    // EMS: apply a binomial smoothing kernel each iteration
-}
-
-// Reconstruct runs EM (or EMS when opts.Smooth) over bucketized report
-// counts and returns the estimated value distribution (length C, sums to 1).
-func (s *SW) Reconstruct(bucketCounts []int, opts EMOptions) ([]float64, error) {
-	counts := make([]int64, len(bucketCounts))
-	for i, c := range bucketCounts {
-		counts[i] = int64(c)
-	}
-	return s.Reconstruct64(counts, opts)
-}
-
-// Reconstruct64 is Reconstruct over the int64 bucket histogram a streaming
-// collector folds at ingest (see the MSW collector), so the EM loop reads
-// the folded statistic directly with no per-epoch copy. Bit-identical to
-// Reconstruct over the same tallies: the only use of the counts is the
-// exact float64 conversion of each bucket's integer.
-func (s *SW) Reconstruct64(bucketCounts []int64, opts EMOptions) ([]float64, error) {
+// reconstruct is Reconstruct that also returns how many EM iterations ran.
+//
+// The bucketized transition matrix is M[b][v] = p′·w + (p − p′)·|I_b ∩ W_v|
+// for bucket I_b = [e_b, e_b + w) and value window W_v = [ṽ − δ, ṽ + δ]: a
+// constant plus a box convolution. So both products an EM iteration needs
+// come from prefix sums, in O(B + C) instead of O(B·C):
+//
+//	(M·f)[b]  = p′w·Σf + (p − p′)·(G(e_{b+1}) − G(e_b)),  G(x) = Σ_v f_v·|(−∞, x] ∩ W_v|
+//	(Mᵀr)[v] = p′w·Σr + (p − p′)·(H(ṽ + δ) − H(ṽ − δ)),  H(x) = Σ_b r_b·|I_b ∩ (−∞, x]|
+//
+// G at edge e is 2δ·F[j₁] + (e + δ)·(F[j₂] − F[j₁]) − (T[j₂] − T[j₁]), with F
+// and T the prefix sums of f and f·ṽ, j₁ = #{v : ṽ + δ ≤ e} and
+// j₂ = #{v : ṽ − δ < e}; s.edges holds e + δ, j₁ and j₂ for every edge.
+// H(x) is w·R[k] + r_k·(x − e_k) for x in bucket k, with R the prefix sum of
+// r = obs/(M·f); s.ends holds k and x − e_k for every window end. An
+// iteration thus takes B divisions where the dense form took B·C. In exact
+// arithmetic it is the dense iteration, and the test-only dense reference
+// pins the two together.
+func (s *SW) reconstruct(bucketCounts []int64) ([]float64, int, error) {
 	if len(bucketCounts) != s.B {
-		return nil, fmt.Errorf("sw: got %d bucket counts, want %d", len(bucketCounts), s.B)
-	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 400
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-7
+		return nil, 0, fmt.Errorf("sw: got %d bucket counts, want %d", len(bucketCounts), s.B)
 	}
 	n := int64(0)
 	for _, c := range bucketCounts {
@@ -159,47 +177,50 @@ func (s *SW) Reconstruct64(bucketCounts []int64, opts EMOptions) ([]float64, err
 		f[v] = 1 / float64(s.C)
 	}
 	if n == 0 {
-		return f, nil
+		return f, 0, nil
 	}
-	m := s.TransitionMatrix()
 	obs := make([]float64, s.B)
 	for b, c := range bucketCounts {
 		obs[b] = float64(c) / float64(n)
 	}
 	next := make([]float64, s.C)
-	denom := make([]float64, s.B)
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		for b := 0; b < s.B; b++ {
-			d := 0.0
-			row := m[b]
-			for v := 0; v < s.C; v++ {
-				d += row[v] * f[v]
-			}
-			denom[b] = d
+	pf := make([]float64, s.C+1) // F: prefix sums of f
+	pt := make([]float64, s.C+1) // T: prefix sums of f·ṽ
+	r := make([]float64, s.B)
+	pr := make([]float64, s.B+1) // R: prefix sums of r
+	base := s.PP * s.bucketWidth
+	band := s.P - s.PP
+	for iter := 1; ; iter++ {
+		for v, x := range f {
+			pf[v+1] = pf[v] + x
+			pt[v+1] = pt[v] + x*s.vt[v]
 		}
-		for v := 0; v < s.C; v++ {
-			acc := 0.0
-			for b := 0; b < s.B; b++ {
-				if denom[b] > 0 {
-					acc += obs[b] * m[b][v] / denom[b]
-				}
-			}
-			next[v] = f[v] * acc
+		g := func(e emEdge) float64 {
+			return 2*s.Delta*pf[e.full] + e.x*(pf[e.reached]-pf[e.full]) - (pt[e.reached] - pt[e.full])
 		}
-		if opts.Smooth {
-			smooth3(next)
+		lo := g(s.edges[0])
+		for b := range r {
+			hi := g(s.edges[b+1])
+			// M·f ≥ p′w·Σf > 0: f is a normalized distribution.
+			r[b] = obs[b] / (base*pf[s.C] + band*(hi-lo))
+			pr[b+1] = pr[b] + r[b]
+			lo = hi
 		}
+		h := func(e emEnd) float64 { return s.bucketWidth*pr[e.k] + r[e.k]*e.off }
+		for v := range next {
+			next[v] = f[v] * (base*pr[s.B] + band*(h(s.ends[v][1])-h(s.ends[v][0])))
+		}
+		smooth3(next)
 		normalize(next)
 		change := 0.0
 		for v := range f {
 			change += math.Abs(next[v] - f[v])
 		}
 		copy(f, next)
-		if change < opts.Tol {
-			break
+		if change < emTol || iter == emMaxIters {
+			return f, iter, nil
 		}
 	}
-	return f, nil
 }
 
 // smooth3 applies the binomial kernel (1,2,1)/4 in place, reflecting at the
@@ -224,8 +245,6 @@ func normalize(f []float64) {
 	for _, x := range f {
 		if x > 0 {
 			s += x
-		} else {
-			x = 0
 		}
 	}
 	if s <= 0 {
