@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 	"privmdr/internal/loop"
 )
 
@@ -162,15 +162,6 @@ type aggTenant struct {
 	// first seal; restored from the snapshot file on recovery).
 	sealedBlob []byte
 }
-
-// journalError marks a push that could not be made durable: the delta was
-// NOT merged, and the push is answered 503 so the shard's transport retries
-// it — a disk problem must look like a transient outage, not a protocol
-// verdict.
-type journalError struct{ err error }
-
-func (e *journalError) Error() string { return "dist: journal: " + e.err.Error() }
-func (e *journalError) Unwrap() error { return e.err }
 
 // AggregatorStatus is one tenant's GET /healthz reply on the aggregator.
 type AggregatorStatus struct {
@@ -414,7 +405,8 @@ func (a *Aggregator) Close() error {
 // A durable tenant journals the envelope's canonical bytes — append +
 // fsync per the sync policy — BEFORE merging, so an acknowledged delta is
 // never memory-only: if the journal write fails the delta is not merged
-// and the push fails with a retryable journalError.
+// and the push fails with a 503, which the shard's transport retries — a
+// disk problem must look like a transient outage, not a protocol verdict.
 func (t *aggTenant) apply(env PushEnvelope, raw []byte) (applied bool, last uint64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -445,7 +437,7 @@ func (t *aggTenant) apply(env PushEnvelope, raw []byte) (applied bool, last uint
 	}
 	if t.store != nil {
 		if jerr := t.store.Append(raw); jerr != nil {
-			return false, last, &journalError{jerr}
+			return false, last, httpapi.Mark(fmt.Errorf("dist: journal: %w", jerr), http.StatusServiceUnavailable)
 		}
 	}
 	if err := t.coll.Merge(env.Delta); err != nil {
@@ -460,29 +452,29 @@ func (t *aggTenant) apply(env PushEnvelope, raw []byte) (applied bool, last uint
 }
 
 func (a *Aggregator) handlePush(w http.ResponseWriter, r *http.Request, t *aggTenant) {
-	body, err := readBody(w, r)
+	body, err := httpapi.ReadBody(w, r, httpapi.MaxBody, nil)
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
 	var env PushEnvelope
 	if err := env.UnmarshalBinary(body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	applied, last, err := t.apply(env, body)
 	if err != nil {
-		var jerr *journalError
-		if errors.As(err, &jerr) {
-			// A disk failure is a transient outage from the shard's point of
-			// view: 503 keeps the envelope frozen in flight and retrying.
-			writeError(w, http.StatusServiceUnavailable, err)
+		status := httpapi.Status(err)
+		if status == http.StatusServiceUnavailable {
+			// The journal failed: nothing was applied, so there is no ack to
+			// give, and the 503 keeps the shard's envelope frozen and retrying.
+			httpapi.WriteError(w, status, err)
 			return
 		}
-		writeJSON(w, errStatus(err), pushAck{Last: last, Code: ackCode(err), Error: err.Error()})
+		httpapi.WriteJSON(w, status, pushAck{Last: last, Code: httpapi.Code(err), Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, pushAck{Applied: applied, Last: last})
+	httpapi.WriteJSON(w, http.StatusOK, pushAck{Applied: applied, Last: last})
 	if applied && a.minNew > 0 {
 		// Threshold sealing: don't wait for the ticker once enough reports
 		// accumulated. Runs in its own goroutine under sealCtx, not the
@@ -495,20 +487,6 @@ func (a *Aggregator) handlePush(w http.ResponseWriter, r *http.Request, t *aggTe
 			_, _ = a.Seal(a.sealCtx, t.name, false)
 		}()
 	}
-}
-
-// ackCode maps a push-apply error to the ack's machine-readable code, so the
-// shard can react without parsing messages.
-func ackCode(err error) string {
-	switch {
-	case errors.Is(err, ErrStaleSeq):
-		return "stale"
-	case errors.Is(err, ErrSeqGap):
-		return "gap"
-	case errors.Is(err, ErrShardConflict):
-		return "conflict"
-	}
-	return ""
 }
 
 // Seal exports the tenant's merged state, stamps it with the next epoch
@@ -664,7 +642,7 @@ func (a *Aggregator) handleEpochLatest(w http.ResponseWriter, _ *http.Request, t
 	blob := t.sealedBlob
 	t.mu.Unlock()
 	if blob == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("dist: tenant %q has no sealed epoch yet", t.name))
+		httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("dist: tenant %q has no sealed epoch yet", t.name))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -685,10 +663,10 @@ func (a *Aggregator) State(tenant string) (privmdr.CollectorState, error) {
 func (a *Aggregator) handleSeal(w http.ResponseWriter, r *http.Request, t *aggTenant) {
 	res, err := a.Seal(r.Context(), t.name, true)
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpapi.WriteJSON(w, http.StatusOK, res)
 }
 
 func (a *Aggregator) handleState(w http.ResponseWriter, _ *http.Request, t *aggTenant) {
@@ -696,12 +674,12 @@ func (a *Aggregator) handleState(w http.ResponseWriter, _ *http.Request, t *aggT
 	st, err := t.coll.State()
 	t.mu.Unlock()
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
 	blob, err := st.MarshalBinary()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -739,5 +717,5 @@ func (a *Aggregator) handleHealthz(w http.ResponseWriter, _ *http.Request, t *ag
 		})
 		rep.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, status)
+	httpapi.WriteJSON(w, http.StatusOK, status)
 }

@@ -8,6 +8,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"time"
+
+	"privmdr/internal/httpapi"
 )
 
 // transport is the retrying HTTP client every role uses for its outbound
@@ -97,7 +99,7 @@ func (t *transport) do(ctx context.Context, method, url, contentType string, bod
 			lastErr = err
 			continue
 		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+		payload, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBody))
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err

@@ -50,26 +50,26 @@
 package dist
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 )
 
 // Sentinel errors for the distributed wire protocol, matched with errors.Is.
-// They all map to 409 Conflict: the request was well-formed but contradicts
-// the receiver's sequencing or epoch state.
+// They all answer 409 Conflict: the request was well-formed but contradicts
+// the receiver's sequencing or epoch state. The three push verdicts also
+// carry the code a rejected push's reply names them by ("stale", "gap",
+// "conflict"), which the shard reads back into the same sentinel.
 var (
 	// ErrStaleSeq reports a push whose sequence number is older than the
 	// last one applied for that shard — a confused or rolled-back shard.
-	ErrStaleSeq = errors.New("dist: push sequence number is stale")
+	ErrStaleSeq = httpapi.Sentinel("dist: push sequence number is stale", http.StatusConflict, "stale")
 	// ErrSeqGap reports a push whose sequence number skips ahead of the next
 	// expected one — the aggregator is missing deltas (it restarted, or the
 	// shard re-baselined without it) and the shard must resync.
-	ErrSeqGap = errors.New("dist: push sequence number skips ahead")
+	ErrSeqGap = httpapi.Sentinel("dist: push sequence number skips ahead", http.StatusConflict, "gap")
 	// ErrShardConflict reports a mid-sequence push under an instance nonce
 	// that does not match the one whose pushes built the shard's applied
 	// history: either two live shards share an ID, or a restarted shard's
@@ -77,48 +77,11 @@ var (
 	// cannot merge such a delta without risking double counting, so it
 	// rejects it and the shard surfaces the conflict loudly instead of
 	// retrying quietly forever.
-	ErrShardConflict = errors.New("dist: shard instance conflicts with applied push history")
+	ErrShardConflict = httpapi.Sentinel("dist: shard instance conflicts with applied push history", http.StatusConflict, "conflict")
 	// ErrStaleEpoch reports an epoch install that is not newer than the
 	// epoch a replica is already serving.
-	ErrStaleEpoch = errors.New("dist: epoch is not newer than the serving epoch")
+	ErrStaleEpoch = httpapi.Sentinel("dist: epoch is not newer than the serving epoch", http.StatusConflict, "")
 )
-
-// maxBody caps request bodies on every dist endpoint, matching the
-// QueryServer's report-frame budget.
-const maxBody = 64 << 20
-
-// errStatus maps a distributed-endpoint error to its HTTP status, extending
-// the QueryServer's contract: 413 for oversized bodies; 409 for well-formed
-// requests that conflict with sequencing, epochs, the deployment, or the
-// lifecycle (stale/gapped push seqs, stale epochs, state mismatches, after
-// finalize); 400 for everything malformed.
-func errStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	if errors.Is(err, ErrStaleSeq) || errors.Is(err, ErrSeqGap) || errors.Is(err, ErrShardConflict) ||
-		errors.Is(err, ErrStaleEpoch) ||
-		errors.Is(err, privmdr.ErrStateMismatch) || errors.Is(err, privmdr.ErrCollectorFinalized) {
-		return http.StatusConflict
-	}
-	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// readBody drains a capped request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-}
 
 // byTenant routes a /v1/{tenant}/... request to h with the named tenant
 // looked up in tenants, and answers the 404 every role returns for a
@@ -128,7 +91,7 @@ func byTenant[T any](tenants map[string]T, h func(http.ResponseWriter, *http.Req
 		name := r.PathValue("tenant")
 		t, ok := tenants[name]
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("dist: unknown tenant %q", name))
+			httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("dist: unknown tenant %q", name))
 			return
 		}
 		h(w, r, t)
@@ -138,5 +101,5 @@ func byTenant[T any](tenants map[string]T, h func(http.ResponseWriter, *http.Req
 // writeParams is the GET /v1/{tenant}/params reply of the roles that do
 // not delegate it to a QueryServer.
 func writeParams(w http.ResponseWriter, proto privmdr.Protocol) {
-	writeJSON(w, http.StatusOK, privmdr.ServerParams{Mechanism: proto.Name(), Params: proto.Params()})
+	httpapi.WriteJSON(w, http.StatusOK, privmdr.ServerParams{Mechanism: proto.Name(), Params: proto.Params()})
 }

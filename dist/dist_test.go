@@ -806,51 +806,413 @@ func TestReplicaEpochOrdering(t *testing.T) {
 	}
 }
 
-// TestUnknownTenant pins the 404 every role returns for tenants outside the
-// topology, on every route each role registers, with one shared body.
-func TestUnknownTenant(t *testing.T) {
-	p := privmdr.Params{N: 10, D: 3, C: 16, Eps: 1.0, Seed: 210}
-	topo := &Topology{Tenants: []TenantConfig{{Name: "census", Mechanism: "Uni", Params: p}}}
-	agg, err := NewAggregator(topo, SealOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = agg.Close() })
-	rep, err := NewReplica(topo, ReplicaOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := NewShard(topo, ShardOptions{ID: "s", Aggregator: "http://127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = shard.Close() })
-	tenantSrv, err := NewTenantServer(topo, privmdr.LiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = tenantSrv.Close() })
-	roles := []struct {
-		h      http.Handler
-		routes []string
-	}{
-		{agg, []string{"POST /push", "POST /seal", "GET /state", "GET /epoch/latest", "GET /params", "GET /healthz"}},
-		{rep, []string{"POST /epoch", "POST /query", "GET /params", "GET /healthz"}},
-		{shard, []string{"POST /reports", "GET /params", "GET /state", "GET /healthz", "POST /push"}},
-		// The tenant server routes every method and path under a tenant.
-		{tenantSrv, []string{"GET /healthz", "POST /query", "DELETE /any/deeper/path"}},
-	}
-	const want = `{"error":"dist: unknown tenant \"nosuch\""}` + "\n"
-	for _, role := range roles {
-		for _, route := range role.routes {
-			method, path, _ := strings.Cut(route, " ")
-			rec := httptest.NewRecorder()
-			role.h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/nosuch"+path, strings.NewReader("{}")))
-			if rec.Code != http.StatusNotFound || rec.Body.String() != want {
-				t.Errorf("%T %s unknown tenant: %d %q, want 404 %q", role.h, route, rec.Code, rec.Body, want)
-			}
+// bodyCap is the request-body cap PROTOCOL.md documents for every role.
+const bodyCap = 64 << 20
+
+// statusRow is one request of the status contract and the reply it must
+// get: the status, and the body byte for byte — or only its prefix where
+// the rest names a port or an operating-system error.
+type statusRow struct {
+	name   string
+	route  string // "METHOD /path"
+	body   func() io.Reader
+	status int
+	want   string
+	prefix bool
+}
+
+// serveRows sends the rows to h in order, since a row may rely on the ones
+// before it (a finalize, an applied push), and checks each reply.
+func serveRows(t *testing.T, h http.Handler, rows []statusRow) {
+	t.Helper()
+	for _, row := range rows {
+		method, path, _ := strings.Cut(row.route, " ")
+		var body io.Reader = http.NoBody
+		if row.body != nil {
+			body = row.body()
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		got := rec.Body.String()
+		match := got == row.want
+		if row.prefix {
+			match = strings.HasPrefix(got, row.want)
+		}
+		if rec.Code != row.status || !match {
+			t.Errorf("%s (%s): %d %q, want %d %q", row.name, row.route, rec.Code, got, row.status, row.want)
 		}
 	}
+}
+
+// errJSON is the error body every role writes: {"error": msg} and a
+// newline, JSON-escaped.
+func errJSON(t *testing.T, msg string) string {
+	t.Helper()
+	b, err := json.Marshal(map[string]string{"error": msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
+}
+
+func blob(b []byte) func() io.Reader {
+	return func() io.Reader { return bytes.NewReader(b) }
+}
+
+// overCap streams one byte past the body cap without holding it in memory.
+func overCap() io.Reader { return io.LimitReader(blanks{}, bodyCap+1) }
+
+// blanks is an endless source of spaces. It copies a whole block per read,
+// so streaming past the cap stays fast under the race detector.
+type blanks struct{}
+
+var blankBlock = bytes.Repeat([]byte{' '}, 32<<10)
+
+func (blanks) Read(p []byte) (int, error) { return copy(p, blankBlock), nil }
+
+// unknownTenantRows asks every route for a tenant outside the topology;
+// every role answers the same 404.
+func unknownTenantRows(routes ...string) []statusRow {
+	rows := make([]statusRow, len(routes))
+	for i, route := range routes {
+		method, path, _ := strings.Cut(route, " ")
+		rows[i] = statusRow{"unknown tenant", method + " /v1/nosuch" + path, text("{}"), http.StatusNotFound,
+			`{"error":"dist: unknown tenant \"nosuch\""}` + "\n", false}
+	}
+	return rows
+}
+
+// TestStatusContract pins, per serving role, one request for each status
+// PROTOCOL.md documents for it — 400, 404, 409, 413, 502 and 503 — with the
+// exact body the role answers. Clients act on these statuses: a shard
+// retries a 5xx, re-baselines on a 409 with last == 0 and stops on a shard
+// conflict, so a misfiled status loses or double-counts reports.
+func TestStatusContract(t *testing.T) {
+	p := privmdr.Params{N: 300, D: 3, C: 16, Eps: 1.0, Seed: 210}
+	topo := &Topology{Tenants: []TenantConfig{{Name: "census", Mechanism: "Uni", Params: p}}}
+	proto, err := privmdr.ProtocolByName("Uni", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := clientReports(t, proto, distDataset(t, p.N))
+	frame, err := privmdr.EncodeReports(reports[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateOf := func(proto privmdr.Protocol, rs []privmdr.Report) privmdr.CollectorState {
+		t.Helper()
+		coll, err := proto.NewCollector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coll.SubmitBatch(rs); err != nil {
+			t.Fatal(err)
+		}
+		st, err := coll.(privmdr.StatefulCollector).State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	foreignProto, err := privmdr.ProtocolByName("Uni", privmdr.Params{N: 300, D: 3, C: 16, Eps: 1.0, Seed: 999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := stateOf(foreignProto, nil)
+	foreignBlob, err := foreign.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownBlob, err := stateOf(proto, nil).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mismatch = `mech: state of Uni deployment {N:300 D:3 C:16 Eps:1 Seed:999} cannot merge into Uni deployment {N:300 D:3 C:16 Eps:1 Seed:210}: collector state mismatch`
+	const finalized = "mech: collector already finalized"
+
+	t.Run("QueryServer finalize-once", func(t *testing.T) {
+		qs, err := privmdr.NewQueryServer(proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveRows(t, qs, []statusRow{
+			{"malformed frame", "POST /reports", text("junk"), http.StatusBadRequest,
+				errJSON(t, "mech: batch claims 106 reports but only 3 bytes follow"), false},
+			{"frame over the cap", "POST /reports", overCap, http.StatusRequestEntityTooLarge,
+				errJSON(t, "reading frame: http: request body too large"), false},
+			{"malformed state", "POST /state", text("junk"), http.StatusBadRequest,
+				errJSON(t, "mech: collector state truncated at header"), false},
+			{"foreign deployment", "POST /state", blob(foreignBlob), http.StatusConflict, errJSON(t, mismatch), false},
+			{"malformed query", "POST /query", text("junk"), http.StatusBadRequest,
+				errJSON(t, "decoding query batch: invalid character 'j' looking for beginning of value"), false},
+			{"refresh on a finalize-once server", "POST /refresh", nil, http.StatusConflict,
+				errJSON(t, "refresh requires live mode (privmdr serve -refresh); POST /finalize is this server's only transition"), false},
+			{"finalize", "POST /finalize", nil, http.StatusOK, `{"finalized":true,"received":0}` + "\n", false},
+			{"reports after finalize", "POST /reports", blob(frame), http.StatusConflict,
+				errJSON(t, "server already finalized; reports are no longer accepted"), false},
+			{"state after finalize", "GET /state", nil, http.StatusConflict, errJSON(t, finalized), false},
+			{"merge after finalize", "POST /state", blob(ownBlob), http.StatusConflict, errJSON(t, finalized), false},
+		})
+	})
+
+	t.Run("QueryServer live", func(t *testing.T) {
+		qs, err := privmdr.NewLiveQueryServer(proto, privmdr.LiveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = qs.Close() })
+		serveRows(t, qs, []statusRow{
+			{"frame", "POST /reports", blob(frame), http.StatusOK, `{"accepted":10,"received":10}` + "\n", false},
+			{"malformed query", "POST /query", text("{}"), http.StatusBadRequest, errJSON(t, "query batch is empty"), false},
+			{"finalize", "POST /finalize", nil, http.StatusOK, `{"finalized":true,"received":10}` + "\n", false},
+			{"refresh after finalize", "POST /refresh", nil, http.StatusConflict,
+				errJSON(t, "privmdr: server already finalized: collector already finalized"), false},
+			{"reports after finalize", "POST /reports", blob(frame), http.StatusConflict,
+				errJSON(t, "server already finalized; reports are no longer accepted"), false},
+		})
+	})
+
+	t.Run("TenantServer", func(t *testing.T) {
+		srv, err := NewTenantServer(topo, privmdr.LiveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		// The tenant server routes every method and path under a tenant.
+		rows := unknownTenantRows("GET /healthz", "POST /query", "DELETE /any/deeper/path")
+		serveRows(t, srv, append(rows, []statusRow{
+			{"malformed frame", "POST /v1/census/reports", text("junk"), http.StatusBadRequest,
+				errJSON(t, "mech: batch claims 106 reports but only 3 bytes follow"), false},
+			{"frame over the cap", "POST /v1/census/reports", overCap, http.StatusRequestEntityTooLarge,
+				errJSON(t, "reading frame: http: request body too large"), false},
+			{"malformed query", "POST /v1/census/query", text("junk"), http.StatusBadRequest,
+				errJSON(t, "decoding query batch: invalid character 'j' looking for beginning of value"), false},
+			{"finalize", "POST /v1/census/finalize", nil, http.StatusOK, `{"finalized":true,"received":0}` + "\n", false},
+			{"reports after finalize", "POST /v1/census/reports", blob(frame), http.StatusConflict,
+				errJSON(t, "server already finalized; reports are no longer accepted"), false},
+		}...))
+	})
+
+	t.Run("Aggregator", func(t *testing.T) {
+		agg, err := NewAggregator(topo, SealOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = agg.Close() })
+		delta := stateOf(proto, reports[:10])
+		push := func(nonce, seq uint64, delta privmdr.CollectorState) func() io.Reader {
+			b, err := PushEnvelope{Shard: "edge-1", Nonce: nonce, Seq: seq, Delta: delta}.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blob(b)
+		}
+		rows := unknownTenantRows("POST /push", "POST /seal", "GET /state", "GET /epoch/latest", "GET /params", "GET /healthz")
+		serveRows(t, agg, append(rows, []statusRow{
+			{"nothing sealed yet", "GET /v1/census/epoch/latest", nil, http.StatusNotFound,
+				errJSON(t, `dist: tenant "census" has no sealed epoch yet`), false},
+			{"malformed envelope", "POST /v1/census/push", text("junk"), http.StatusBadRequest,
+				errJSON(t, "dist: push envelope truncated at header"), false},
+			{"envelope over the cap", "POST /v1/census/push", overCap, http.StatusRequestEntityTooLarge,
+				errJSON(t, "http: request body too large"), false},
+			{"seq 1", "POST /v1/census/push", push(7, 1, delta), http.StatusOK, `{"applied":true,"last":1}` + "\n", false},
+			{"duplicate seq 1", "POST /v1/census/push", push(7, 1, delta), http.StatusOK, `{"applied":false,"last":1}` + "\n", false},
+			{"gap", "POST /v1/census/push", push(7, 3, delta), http.StatusConflict,
+				`{"applied":false,"last":1,"code":"gap","error":"dist: shard \"edge-1\" pushed seq 3, last applied 1: dist: push sequence number skips ahead"}` + "\n", false},
+			{"seq 2", "POST /v1/census/push", push(7, 2, delta), http.StatusOK, `{"applied":true,"last":2}` + "\n", false},
+			{"stale seq", "POST /v1/census/push", push(7, 1, delta), http.StatusConflict,
+				`{"applied":false,"last":2,"code":"stale","error":"dist: shard \"edge-1\" pushed seq 1, last applied 2: dist: push sequence number is stale"}` + "\n", false},
+			{"shard conflict", "POST /v1/census/push", push(8, 3, delta), http.StatusConflict,
+				`{"applied":false,"last":2,"code":"conflict","error":"dist: shard \"edge-1\" pushed seq 3 under a new instance nonce (last applied 2 from a previous instance — restarted shard or duplicate shard ID): dist: shard instance conflicts with applied push history"}` + "\n", false},
+			{"foreign deployment", "POST /v1/census/push", push(7, 3, foreign), http.StatusConflict,
+				`{"applied":false,"last":2,"error":"` + mismatch + `"}` + "\n", false},
+			{"seal", "POST /v1/census/seal", nil, http.StatusOK,
+				`{"tenant":"census","sealed":true,"epoch":1,"reports":20,"fanout":0}` + "\n", false},
+		}...))
+	})
+
+	t.Run("Replica", func(t *testing.T) {
+		rep, err := NewReplica(topo, ReplicaOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = rep.Close() })
+		sealed, err := privmdr.EncodeSnapshot(stateOf(proto, reports[:10]), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreignSealed, err := privmdr.EncodeSnapshot(foreign, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := unknownTenantRows("POST /epoch", "POST /query", "GET /params", "GET /healthz")
+		serveRows(t, rep, append(rows, []statusRow{
+			{"query before the first install", "POST /v1/census/query", text("junk"), http.StatusServiceUnavailable,
+				errJSON(t, "dist: no epoch installed yet; waiting for the aggregator's first seal"), false},
+			{"malformed epoch", "POST /v1/census/epoch", text("junk"), http.StatusBadRequest,
+				errJSON(t, "mech: collector state truncated at header"), false},
+			{"bare state", "POST /v1/census/epoch", blob(ownBlob), http.StatusBadRequest,
+				errJSON(t, "dist: epoch push carries no epoch stamp (bare state?)"), false},
+			{"epoch over the cap", "POST /v1/census/epoch", overCap, http.StatusRequestEntityTooLarge,
+				errJSON(t, "http: request body too large"), false},
+			{"epoch 3", "POST /v1/census/epoch", blob(sealed), http.StatusOK, `{"epoch":3,"reports":10}` + "\n", false},
+			{"stale epoch", "POST /v1/census/epoch", blob(sealed), http.StatusConflict,
+				errJSON(t, "dist: pushed epoch 3, serving epoch 3: dist: epoch is not newer than the serving epoch"), false},
+			{"foreign deployment", "POST /v1/census/epoch", blob(foreignSealed), http.StatusConflict, errJSON(t, mismatch), false},
+			{"malformed query", "POST /v1/census/query", text("junk"), http.StatusBadRequest,
+				errJSON(t, "decoding query batch: invalid character 'j' looking for beginning of value"), false},
+		}...))
+	})
+
+	t.Run("Shard", func(t *testing.T) {
+		agg, err := NewAggregator(topo, SealOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = agg.Close() })
+		tsAgg := httptest.NewServer(agg)
+		t.Cleanup(tsAgg.Close)
+		newShard := func(aggURL string) (*Shard, *privmdr.QueryServer) {
+			t.Helper()
+			sh, err := NewShard(topo, ShardOptions{ID: "edge-1", Aggregator: aggURL, Timeout: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = sh.Close() })
+			qs, _ := sh.Tenant("census")
+			return sh, qs
+		}
+		// B takes over edge-1's cursor at the aggregator, so A's next push
+		// conflicts.
+		shardA, qsA := newShard(tsAgg.URL)
+		shardB, qsB := newShard(tsAgg.URL)
+		for _, step := range []struct {
+			sh *Shard
+			qs *privmdr.QueryServer
+			rs []privmdr.Report
+		}{{shardA, qsA, reports[:100]}, {shardB, qsB, reports[100:200]}} {
+			if err := step.qs.SubmitBatch(step.rs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := step.sh.FlushTenant(context.Background(), "census"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := qsA.SubmitBatch(reports[200:]); err != nil {
+			t.Fatal(err)
+		}
+		rows := unknownTenantRows("POST /reports", "GET /params", "GET /state", "GET /healthz", "POST /push")
+		serveRows(t, shardA, append(rows, []statusRow{
+			{"malformed frame", "POST /v1/census/reports", text("junk"), http.StatusBadRequest,
+				errJSON(t, "mech: batch claims 106 reports but only 3 bytes follow"), false},
+			{"frame over the cap", "POST /v1/census/reports", overCap, http.StatusRequestEntityTooLarge,
+				errJSON(t, "reading frame: http: request body too large"), false},
+			{"shard conflict", "POST /v1/census/push", nil, http.StatusConflict,
+				errJSON(t, "dist: push seq 2: dist: shard instance conflicts with applied push history — aggregator said: "+
+					`dist: shard "edge-1" pushed seq 2 under a new instance nonce (last applied 1 from a previous instance — restarted shard or duplicate shard ID): dist: shard instance conflicts with applied push history`), false},
+		}...))
+
+		// With the aggregator down, the transport gives up and the push is
+		// the aggregator leg's failure.
+		dead := httptest.NewServer(http.NotFoundHandler())
+		deadURL := dead.URL
+		dead.Close()
+		shardC, qsC := newShard(deadURL)
+		if err := qsC.SubmitBatch(reports[:100]); err != nil {
+			t.Fatal(err)
+		}
+		serveRows(t, shardC, []statusRow{
+			{"aggregator down", "POST /v1/census/push", nil, http.StatusBadGateway,
+				`{"error":"dist: ` + deadURL + `/v1/census/push unreachable after 4 attempts: `, true},
+		})
+	})
+
+	// A push the aggregator cannot journal is a 503: nothing merges, no
+	// cursor moves, and the shard's frozen envelope lands exactly once when
+	// the journal works again.
+	t.Run("Aggregator journal failure", func(t *testing.T) {
+		dir := t.TempDir()
+		agg, err := NewAggregator(topo, SealOptions{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tsAgg := httptest.NewServer(agg)
+		t.Cleanup(tsAgg.Close)
+		shard, err := NewShard(topo, ShardOptions{ID: "edge-1", Aggregator: tsAgg.URL, Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = shard.Close() })
+		qs, _ := shard.Tenant("census")
+		if err := qs.SubmitBatch(reports[:100]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shard.FlushTenant(context.Background(), "census"); err != nil {
+			t.Fatal(err)
+		}
+		if err := qs.SubmitBatch(reports[100:200]); err != nil {
+			t.Fatal(err)
+		}
+
+		j := agg.tenants["census"].store.j
+		j.mu.Lock()
+		if err := j.f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j.mu.Unlock()
+		journalErr := errJSON(t, "dist: journal: write "+j.path+": file already closed")
+		url := tsAgg.URL + "/v1/census/push"
+		healthz := func(received int, seq int) string {
+			return fmt.Sprintf(`{"role":"aggregator","tenant":"census","mechanism":"Uni","received":%d,"epoch":0,"sealed_reports":0,"staleness":%d,"shards":{"edge-1":%d},"durable":true}`+"\n",
+				received, received, seq)
+		}
+		serveRows(t, shard, []statusRow{
+			{"push while the journal fails", "POST /v1/census/push", nil, http.StatusBadGateway,
+				errJSON(t, "dist: "+url+" unreachable after 4 attempts: dist: "+url+": 503 "+journalErr), false},
+		})
+		frozen, err := shard.tenants["census"].inflight.env.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveRows(t, agg, []statusRow{
+			{"journal append fails", "POST /v1/census/push", blob(frozen), http.StatusServiceUnavailable, journalErr, false},
+			{"nothing merged, cursor unmoved", "GET /v1/census/healthz", nil, http.StatusOK, healthz(100, 1), false},
+		})
+		if st := shard.status(shard.tenants["census"]); st.PushedSeq != 1 || st.Pending != 100 {
+			t.Fatalf("shard after the failed push: %+v, want seq 1 with 100 pending", st)
+		}
+
+		j.mu.Lock()
+		f, err := os.OpenFile(j.path, os.O_RDWR, 0)
+		if err == nil {
+			_, err = f.Seek(j.size, io.SeekStart)
+		}
+		j.f = f
+		j.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := shard.FlushTenant(context.Background(), "census"); err != nil || res.Seq != 2 || res.Reports != 100 {
+			t.Fatalf("retry after the journal recovered: %+v, %v, want seq 2 with 100 reports", res, err)
+		}
+		serveRows(t, agg, []statusRow{
+			{"retry applied", "GET /v1/census/healthz", nil, http.StatusOK, healthz(200, 2), false},
+			{"retry again", "POST /v1/census/push", blob(frozen), http.StatusOK, `{"applied":false,"last":2}` + "\n", false},
+			{"applied once", "GET /v1/census/healthz", nil, http.StatusOK, healthz(200, 2), false},
+		})
+		// The journal holds each delta once: a restart recovers 200 reports.
+		if err := agg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		agg2, err := NewAggregator(topo, SealOptions{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = agg2.Close() })
+		serveRows(t, agg2, []statusRow{
+			{"recovered", "GET /v1/census/healthz", nil, http.StatusOK, healthz(200, 2), false},
+		})
+	})
 }
 
 // TestTenantServer exercises the single-node multi-tenant role: two
@@ -990,7 +1352,7 @@ func TestTopologyValidate(t *testing.T) {
 }
 
 // TestShardPushHTTPStatus pins the POST /push status contract: the handler
-// routes push failures through errStatus, so a shard-instance conflict
+// routes push failures through httpapi.Status, so a shard-instance conflict
 // surfaces as 409 Conflict (like every other sequencing verdict), and only a
 // genuine aggregator-leg failure — the transport gave up — is 502 Bad
 // Gateway. Before the fix every failure collapsed to 502, so an operator

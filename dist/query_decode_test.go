@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 )
 
 // TestQueryBodyStatusParity posts the same /query bodies, well-formed and
@@ -49,7 +50,7 @@ func TestQueryBodyStatusParity(t *testing.T) {
 	// overCap streams a valid batch followed by whitespace past the 64 MiB
 	// body cap both roles share, without holding the body in memory.
 	overCap := func() io.Reader {
-		return io.MultiReader(strings.NewReader(valid), io.LimitReader(spaces{}, maxBody))
+		return io.MultiReader(strings.NewReader(valid), io.LimitReader(spaces{}, httpapi.MaxBody))
 	}
 	cases := []struct {
 		name string

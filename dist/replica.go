@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 	"privmdr/internal/loop"
 )
 
@@ -236,34 +237,34 @@ func (rep *Replica) Install(tenant string, st privmdr.CollectorState, epoch uint
 }
 
 func (rep *Replica) handleEpoch(w http.ResponseWriter, r *http.Request, t *replicaTenant) {
-	body, err := readBody(w, r)
+	body, err := httpapi.ReadBody(w, r, httpapi.MaxBody, nil)
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
 	st, epoch, err := privmdr.DecodeSnapshot(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if epoch == 0 {
 		// A bare state decodes fine but carries no epoch; the replica cannot
 		// order it against the serving one, so the coordinator must always
 		// send the stamped wrapper.
-		writeError(w, http.StatusBadRequest, fmt.Errorf("dist: epoch push carries no epoch stamp (bare state?)"))
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("dist: epoch push carries no epoch stamp (bare state?)"))
 		return
 	}
 	if err := t.install(st, epoch); err != nil {
-		writeError(w, errStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "reports": st.Received()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "reports": st.Received()})
 }
 
 func (rep *Replica) handleQuery(w http.ResponseWriter, r *http.Request, t *replicaTenant) {
 	ep := t.cur.Load()
 	if ep == nil {
-		writeError(w, http.StatusServiceUnavailable,
+		httpapi.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("dist: no epoch installed yet; waiting for the aggregator's first seal"))
 		return
 	}
@@ -280,5 +281,5 @@ func (rep *Replica) handleHealthz(w http.ResponseWriter, _ *http.Request, t *rep
 	if msg := t.lastPullErr.Load(); msg != nil {
 		status.LastCatchUpError = *msg
 	}
-	writeJSON(w, http.StatusOK, status)
+	httpapi.WriteJSON(w, http.StatusOK, status)
 }

@@ -5,13 +5,13 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 	"privmdr/internal/loop"
 )
 
@@ -271,8 +271,8 @@ func newInstanceNonce() uint64 {
 
 // pushAck is the aggregator's push reply: on 2xx whether this envelope was
 // applied (false for an idempotent duplicate), on 409 the last acknowledged
-// sequence number the shard can resync from plus a machine-readable code
-// ("stale", "gap", or "conflict").
+// sequence number the shard can resync from plus the code of the push
+// verdict, if the rejection is one.
 type pushAck struct {
 	Applied bool   `json:"applied"`
 	Last    uint64 `json:"last"`
@@ -280,16 +280,25 @@ type pushAck struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// upstreamError marks a push failure caused by the aggregator leg — the
-// transport gave up, or the aggregator answered something the push protocol
-// has no meaning for. POST /push reports these as 502 Bad Gateway; protocol
-// conflicts (stale/gapped sequences, shard-instance conflicts) and
-// malformed local state are NOT upstream errors and keep their own
-// statuses.
-type upstreamError struct{ err error }
+// pushVerdict is the sentinel a 409 push reply names by its code, or nil.
+func pushVerdict(status int, code string) error {
+	if status != http.StatusConflict {
+		return nil
+	}
+	for _, v := range []error{ErrStaleSeq, ErrSeqGap, ErrShardConflict} {
+		if httpapi.Code(v) == code {
+			return v
+		}
+	}
+	return nil
+}
 
-func (e *upstreamError) Error() string { return e.err.Error() }
-func (e *upstreamError) Unwrap() error { return e.err }
+// upstream marks a push failure caused by the aggregator leg — the
+// transport gave up, or the aggregator answered something the push protocol
+// has no meaning for — as 502 Bad Gateway. Protocol conflicts (stale or
+// gapped sequences, shard-instance conflicts) and malformed local state are
+// not upstream failures and keep their own statuses.
+func upstream(err error) error { return httpapi.Mark(err, http.StatusBadGateway) }
 
 // push ships one tenant's delta since the last acknowledged push. min > 0
 // makes it a thresholded scheduled push; 0 forces (but an empty delta is
@@ -362,7 +371,7 @@ func (s *Shard) push(ctx context.Context, t *shardTenant, min int) (PushResult, 
 			// The envelope stays frozen in flight: the next push retries
 			// these exact bytes, so an applied-but-unacknowledged delta can
 			// only ever be duplicate-ACKed, never recomputed.
-			return PushResult{}, s.recordErr(t, &upstreamError{err})
+			return PushResult{}, s.recordErr(t, upstream(err))
 		}
 		if status >= 200 && status < 300 {
 			t.mu.Lock()
@@ -380,13 +389,10 @@ func (s *Shard) push(ctx context.Context, t *shardTenant, min int) (PushResult, 
 			// phantom last == 0 would trigger a spurious re-baseline that
 			// double-counts every already-merged report. Treat it as a broken
 			// upstream leg and keep the envelope frozen for retry.
-			return PushResult{}, s.recordErr(t, &upstreamError{fmt.Errorf("dist: push rejected: %d with undecodable ack body %q: %w", status, body, uerr)})
+			return PushResult{}, s.recordErr(t, upstream(fmt.Errorf("dist: push rejected: %d with undecodable ack body %q: %w", status, body, uerr)))
 		}
-		if status == http.StatusConflict && ack.Code == "conflict" {
-			return PushResult{}, s.recordErr(t, fmt.Errorf("dist: push seq %d: %w — aggregator said: %s",
-				inflight.env.Seq, ErrShardConflict, ack.Error))
-		}
-		if status == http.StatusConflict && !rebaselined && ack.Last == 0 && inflight.env.Seq > 1 {
+		verdict := pushVerdict(status, ack.Code)
+		if status == http.StatusConflict && verdict != ErrShardConflict && !rebaselined && ack.Last == 0 && inflight.env.Seq > 1 {
 			// The aggregator restarted empty underneath us: ship the full
 			// cumulative state (which supersedes the frozen delta) as a new
 			// sequence 1.
@@ -406,24 +412,14 @@ func (s *Shard) push(ctx context.Context, t *shardTenant, min int) (PushResult, 
 			t.mu.Unlock()
 			continue
 		}
-		if status == http.StatusConflict {
-			// Surface the aggregator's sequencing verdict as the matching
-			// sentinel, so callers (and POST /push via errStatus) see the
-			// same 409-class error the aggregator raised instead of an
-			// opaque gateway failure.
-			var reason error
-			switch ack.Code {
-			case "stale":
-				reason = ErrStaleSeq
-			case "gap":
-				reason = ErrSeqGap
-			}
-			if reason != nil {
-				return PushResult{}, s.recordErr(t, fmt.Errorf("dist: push seq %d: %w — aggregator said: %s",
-					inflight.env.Seq, reason, ack.Error))
-			}
+		if verdict != nil {
+			// Surface the aggregator's verdict as its sentinel, so callers
+			// (and POST /push) see the same 409 the aggregator raised instead
+			// of an opaque gateway failure.
+			return PushResult{}, s.recordErr(t, fmt.Errorf("dist: push seq %d: %w — aggregator said: %s",
+				inflight.env.Seq, verdict, ack.Error))
 		}
-		return PushResult{}, s.recordErr(t, &upstreamError{fmt.Errorf("dist: push rejected: %d %s", status, body)})
+		return PushResult{}, s.recordErr(t, upstream(fmt.Errorf("dist: push rejected: %d %s", status, body)))
 	}
 }
 
@@ -436,7 +432,7 @@ func (s *Shard) recordErr(t *shardTenant, err error) error {
 }
 
 func (s *Shard) handleHealthz(w http.ResponseWriter, _ *http.Request, t *shardTenant) {
-	writeJSON(w, http.StatusOK, s.status(t))
+	httpapi.WriteJSON(w, http.StatusOK, s.status(t))
 }
 
 func (s *Shard) status(t *shardTenant) ShardStatus {
@@ -460,21 +456,8 @@ func (s *Shard) status(t *shardTenant) ShardStatus {
 func (s *Shard) handlePush(w http.ResponseWriter, r *http.Request, t *shardTenant) {
 	res, err := s.push(r.Context(), t, 0)
 	if err != nil {
-		writeError(w, pushErrStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// pushErrStatus maps a forced push's failure to the status POST /push
-// reports, extending errStatus with the gateway case: an unreachable (or
-// nonsensical) aggregator is 502 Bad Gateway, while protocol conflicts
-// (ErrShardConflict, ErrStaleSeq, ErrSeqGap — 409) and malformed local
-// state (400) keep the statuses PROTOCOL.md documents for them.
-func pushErrStatus(err error) int {
-	var up *upstreamError
-	if errors.As(err, &up) {
-		return http.StatusBadGateway
-	}
-	return errStatus(err)
+	httpapi.WriteJSON(w, http.StatusOK, res)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 )
 
 // TenantServer is the degenerate single-node topology: one process hosting
@@ -135,5 +136,5 @@ func (s *TenantServer) handleTenants(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.names {
 		out = append(out, TenantStatus{Tenant: name, ServerStatus: s.tenants[name].Status()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 	"privmdr/internal/mech"
 )
 
@@ -160,7 +161,7 @@ const journalRecordVersion = 1
 // maxJournalPayload bounds a record's payload, matching the push-body cap —
 // nothing larger can ever have been journaled, so a bigger length prefix is
 // corruption, not data.
-const maxJournalPayload = maxBody
+const maxJournalPayload = httpapi.MaxBody
 
 // crcJournal is the record checksum polynomial (Castagnoli, the usual
 // storage CRC).

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 )
 
 // sampleDelta builds a real (v2) collector-state delta to embed in
@@ -130,31 +132,42 @@ func TestPushEnvelopeRejects(t *testing.T) {
 	}
 }
 
-// TestErrStatus pins the distributed error→HTTP-status contract: 413 for
-// oversized bodies, 409 for sequencing/epoch/deployment conflicts (wrapped
-// or not), 400 for everything else.
+// TestErrStatus pins the distributed error→HTTP-status contract, as
+// httpapi.Status and httpapi.Code answer dist's errors: 413 for oversized
+// bodies; 409 for sequencing, epoch and deployment conflicts, with the push
+// verdict's code for the sequencing ones; 503 for a failed journal append;
+// 502 for a failed aggregator leg; 400 for everything else — wrapped or not.
 func TestErrStatus(t *testing.T) {
+	journal := httpapi.Mark(fmt.Errorf("dist: journal: %w", os.ErrClosed), http.StatusServiceUnavailable)
 	cases := []struct {
-		name string
-		err  error
-		want int
+		name   string
+		err    error
+		status int
+		code   string
 	}{
-		{"too large", &http.MaxBytesError{Limit: maxBody}, http.StatusRequestEntityTooLarge},
-		{"stale seq", ErrStaleSeq, http.StatusConflict},
-		{"wrapped stale seq", fmt.Errorf("dist: shard %q: %w", "s", ErrStaleSeq), http.StatusConflict},
-		{"seq gap", ErrSeqGap, http.StatusConflict},
-		{"wrapped seq gap", fmt.Errorf("dist: %w", ErrSeqGap), http.StatusConflict},
-		{"shard conflict", ErrShardConflict, http.StatusConflict},
-		{"wrapped shard conflict", fmt.Errorf("dist: shard %q: %w", "s", ErrShardConflict), http.StatusConflict},
-		{"stale epoch", ErrStaleEpoch, http.StatusConflict},
-		{"state mismatch", privmdr.ErrStateMismatch, http.StatusConflict},
-		{"wrapped state mismatch", fmt.Errorf("mech: %w", privmdr.ErrStateMismatch), http.StatusConflict},
-		{"finalized", privmdr.ErrCollectorFinalized, http.StatusConflict},
-		{"malformed", errors.New("dist: push envelope truncated at header"), http.StatusBadRequest},
+		{"too large", &http.MaxBytesError{Limit: httpapi.MaxBody}, http.StatusRequestEntityTooLarge, ""},
+		{"stale seq", ErrStaleSeq, http.StatusConflict, "stale"},
+		{"wrapped stale seq", fmt.Errorf("dist: shard %q: %w", "s", ErrStaleSeq), http.StatusConflict, "stale"},
+		{"seq gap", ErrSeqGap, http.StatusConflict, "gap"},
+		{"wrapped seq gap", fmt.Errorf("dist: %w", ErrSeqGap), http.StatusConflict, "gap"},
+		{"shard conflict", ErrShardConflict, http.StatusConflict, "conflict"},
+		{"wrapped shard conflict", fmt.Errorf("dist: shard %q: %w", "s", ErrShardConflict), http.StatusConflict, "conflict"},
+		{"stale epoch", ErrStaleEpoch, http.StatusConflict, ""},
+		{"state mismatch", privmdr.ErrStateMismatch, http.StatusConflict, ""},
+		{"wrapped state mismatch", fmt.Errorf("mech: %w", privmdr.ErrStateMismatch), http.StatusConflict, ""},
+		{"finalized", privmdr.ErrCollectorFinalized, http.StatusConflict, ""},
+		{"journal", journal, http.StatusServiceUnavailable, ""},
+		{"wrapped journal", fmt.Errorf("tenant: %w", journal), http.StatusServiceUnavailable, ""},
+		{"upstream", upstream(errors.New("dist: push rejected: 418 teapot")), http.StatusBadGateway, ""},
+		{"upstream over seq gap", upstream(fmt.Errorf("dist: %w", ErrSeqGap)), http.StatusBadGateway, ""},
+		{"malformed", errors.New("dist: push envelope truncated at header"), http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
-		if got := errStatus(tc.err); got != tc.want {
-			t.Errorf("%s: errStatus = %d, want %d", tc.name, got, tc.want)
+		if got := httpapi.Status(tc.err); got != tc.status {
+			t.Errorf("%s: Status = %d, want %d", tc.name, got, tc.status)
+		}
+		if got := httpapi.Code(tc.err); got != tc.code {
+			t.Errorf("%s: Code = %q, want %q", tc.name, got, tc.code)
 		}
 	}
 }

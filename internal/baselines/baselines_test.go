@@ -2,8 +2,10 @@ package baselines
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"privmdr/internal/core"
 	"privmdr/internal/dataset"
 	"privmdr/internal/ldprand"
 	"privmdr/internal/mech"
@@ -174,16 +176,19 @@ func TestHIOSmallCase(t *testing.T) {
 }
 
 func TestHIOExpansionGuard(t *testing.T) {
-	ds := correlatedDS(t, 20000, 2, 16)
-	m := &HIO{MaxCombos: 2}
-	est, err := m.Fit(ds, 1.0, ldprand.New(12))
+	ds := correlatedDS(t, 8192, 6, 64)
+	est, err := NewHIO().Fit(ds, 1.0, ldprand.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// [1,14] needs >2 pieces per attribute → combos exceed the guard.
-	q := query.Query{{Attr: 0, Lo: 1, Hi: 14}, {Attr: 1, Lo: 1, Hi: 14}}
-	if _, err := est.Answer(q); err == nil {
-		t.Error("expansion above MaxCombos should fail")
+	// [1,62] decomposes into 14 pieces per attribute, so on all six
+	// attributes 14⁶ ≈ 7.5M intervals exceed the 2²¹ guard (14⁵ would not).
+	q := make(query.Query, 6)
+	for a := range q {
+		q[a] = query.Pred{Attr: a, Lo: 1, Hi: 62}
+	}
+	if _, err := est.Answer(q); err == nil || !strings.Contains(err.Error(), "expands to more than") {
+		t.Errorf("expansion above hioMaxCombos: %v, want the guard's error", err)
 	}
 }
 
@@ -278,27 +283,49 @@ func TestLHIOOneDimensional(t *testing.T) {
 	}
 }
 
-// TestLHIOAnswerZeroAlloc pins LHIO's λ ≤ 2 answer path at zero heap
-// allocations: both axes decompose into arrays on pair2D's stack. λ ≥ 3
-// runs Algorithm 2, whose own allocations stay, and a query whose
-// predicates are out of attribute order pays query.Sorted's copy.
+// TestLHIOAnswerZeroAlloc pins the λ ≤ 2 answers of the four mechanisms
+// that answer through mwem.Answer (TDG, HDG, CALM, LHIO) at zero heap
+// allocations, with a two-predicate query in attribute order or reversed,
+// and requires the two orders to answer bit-identically. LHIO decomposes
+// both axes into arrays on pair2D's stack; HDG is warmed first, since its
+// response matrices build lazily. λ ≥ 3 runs Algorithm 2, whose own
+// allocations stay.
 func TestLHIOAnswerZeroAlloc(t *testing.T) {
 	ds := correlatedDS(t, 20000, 3, 64)
-	est, err := NewLHIO().Fit(ds, 1.0, ldprand.New(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []query.Query{
-		{{Attr: 2, Lo: 5, Hi: 50}},
-		{{Attr: 0, Lo: 7, Hi: 40}, {Attr: 2, Lo: 1, Hi: 62}},
-	} {
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := est.Answer(q); err != nil {
+	inOrder := query.Query{{Attr: 0, Lo: 7, Hi: 40}, {Attr: 2, Lo: 1, Hi: 62}}
+	reversed := query.Query{inOrder[1], inOrder[0]}
+	for _, m := range []mech.Mechanism{core.NewTDG(core.Options{}), core.NewHDG(core.Options{}), NewCALM(), NewLHIO()} {
+		est, err := m.Fit(ds, 1.0, ldprand.New(22))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm, ok := est.(interface{ PrecomputeMatrices() error }); ok {
+			if err := warm.PrecomputeMatrices(); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("λ = %d: LHIO Answer allocates %g objects/op, want 0", len(q), allocs)
+		}
+		answers := map[string]float64{}
+		for _, tc := range []struct {
+			name string
+			q    query.Query
+		}{
+			{"λ = 1", query.Query{{Attr: 2, Lo: 5, Hi: 50}}},
+			{"λ = 2 in order", inOrder},
+			{"λ = 2 reversed", reversed},
+		} {
+			allocs := testing.AllocsPerRun(100, func() {
+				a, err := est.Answer(tc.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers[tc.name] = a
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: Answer allocates %g objects/op, want 0", m.Name(), tc.name, allocs)
+			}
+		}
+		if a, b := answers["λ = 2 in order"], answers["λ = 2 reversed"]; math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: λ = 2 answers %v in attribute order, %v reversed", m.Name(), a, b)
 		}
 	}
 }

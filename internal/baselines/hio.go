@@ -24,34 +24,26 @@ import (
 // and with them the estimates — are poor. The paper reports it losing to
 // even the uniform guess in most settings; reproducing that failure is the
 // point of including it.
-type HIO struct {
-	// MaxCombos guards the Cartesian interval expansion per query
-	// (0 → 1<<21). Queries needing more return an error.
-	MaxCombos int
-	// MaxStreamDomain caps the per-group enumeration domain the collector
-	// folds into a streamed count vector (0 → 4096 = c² at c = 64, the
-	// largest domain LHIO ever enumerates). Streaming a group costs
-	// O(domain) memory for its vector plus O(domain) hash evaluations per
-	// folded report, so past a few thousand values the fold is strictly
-	// slower and hungrier than the report store it replaces. A d-dim level
-	// whose interval count exceeds the cap therefore falls back to
-	// retaining its raw reports — O(reports) memory and lazy, memoized
-	// estimates for that one group while every other group still streams —
-	// and the collector exports v3 (hybrid) states instead of v2. At
-	// c = 64 the default streams every group for d ≤ 2 and the shallow
-	// levels for higher d; the deepest level's domain is c^d, so no cap
-	// makes 64⁶ enumerable. Shards of a deployment must agree on the cap
-	// for their states to merge.
-	MaxStreamDomain int
-}
+type HIO struct{}
 
-// maxStreamDomain resolves the streaming-cap default.
-func (m *HIO) maxStreamDomain() int {
-	if m.MaxStreamDomain > 0 {
-		return m.MaxStreamDomain
-	}
-	return 4096
-}
+// hioMaxCombos guards the Cartesian interval expansion per query: a query
+// that decomposes into more d-dim intervals returns an error.
+const hioMaxCombos = 1 << 21
+
+// hioMaxStreamDomain caps the per-group enumeration domain the collector
+// folds into a streamed count vector: 4096 = c² at c = 64, the largest
+// domain LHIO ever enumerates. Streaming a group costs O(domain) memory for
+// its vector plus O(domain) hash evaluations per folded report, so past a
+// few thousand values the fold is strictly slower and hungrier than the
+// report store it replaces. A d-dim level whose interval count exceeds the
+// cap therefore falls back to retaining its raw reports — O(reports) memory
+// and lazy, memoized estimates for that one group while every other group
+// still streams — and the collector exports v3 (hybrid) states instead of
+// v2. At c = 64 every group streams for d ≤ 2 and the shallow levels for
+// higher d; the deepest level's domain is c^d, so no cap makes 64⁶
+// enumerable. The cap is part of the state format: shards of a deployment
+// agree on it because it is a constant.
+const hioMaxStreamDomain = 4096
 
 // hierarchyBranching is the branching factor of HIO's and LHIO's
 // hierarchies, the paper's choice.
@@ -77,14 +69,13 @@ type hioKey struct {
 // snapshot, so whichever call wins a key computes the value every racer
 // reads, and the estimator stays deterministic.
 type hioEstimator struct {
-	c, d      int
-	tree      *hierarchy.Tree
-	levels    int // levels per attribute (h+1)
-	oracles   []*fo.OLH
-	counts    [][]int64     // per group: folded support vector, nil iff retained
-	ns        []int         // per group: report tally
-	retained  [][]fo.Report // per group: raw reports, non-nil iff retained
-	maxCombos int
+	c, d     int
+	tree     *hierarchy.Tree
+	levels   int // levels per attribute (h+1)
+	oracles  []*fo.OLH
+	counts   [][]int64     // per group: folded support vector, nil iff retained
+	ns       []int         // per group: report tally
+	retained [][]fo.Report // per group: raw reports, non-nil iff retained
 
 	memo sync.Map // hioKey → *hioMemo, retained groups only
 }
@@ -107,7 +98,6 @@ func (m *HIO) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estima
 // index of its d-dim interval at the group's level vector.
 type hioProtocol struct {
 	p       mech.Params
-	opts    HIO
 	tree    *hierarchy.Tree
 	levels  int
 	as      *mech.Assigner
@@ -116,7 +106,7 @@ type hioProtocol struct {
 }
 
 // Protocol implements mech.Mechanism.
-func (m *HIO) Protocol(p mech.Params) (mech.Protocol, error) {
+func (*HIO) Protocol(p mech.Params) (mech.Protocol, error) {
 	if err := p.Validate(1); err != nil {
 		return nil, err
 	}
@@ -162,7 +152,7 @@ func (m *HIO) Protocol(p mech.Params) (mech.Protocol, error) {
 		}
 		oracles[li] = oracle
 	}
-	return &hioProtocol{p: p, opts: *m, tree: tree, levels: levels, as: as, oracles: oracles, lvls: lvls}, nil
+	return &hioProtocol{p: p, tree: tree, levels: levels, as: as, oracles: oracles, lvls: lvls}, nil
 }
 
 // Name implements mech.Protocol.
@@ -206,15 +196,14 @@ func (pr *hioProtocol) ClientReport(a mech.Assignment, record []int, rng *rand.R
 // NewCollector implements mech.Protocol: a streaming collector that folds
 // each group's reports into its OLH support vector at ingest. Groups whose
 // enumeration domain exceeds the streaming cap retain raw reports instead
-// (see HIO.MaxStreamDomain): every group streams for d ≤ 2 at c = 64,
+// (see hioMaxStreamDomain): every group streams for d ≤ 2 at c = 64,
 // while deeper hierarchies stream their shallow levels and retain the
 // exploding ones.
 func (pr *hioProtocol) NewCollector() (mech.Collector, error) {
 	check := func(r mech.Report) error { return pr.oracles[r.Group].CheckReport(r.FO()) }
-	streamCap := pr.opts.maxStreamDomain()
 	specs := make([]mech.GroupSpec, len(pr.oracles))
 	for g, o := range pr.oracles {
-		if o.Domain() > streamCap {
+		if o.Domain() > hioMaxStreamDomain {
 			specs[g] = mech.GroupSpec{Retain: true}
 			continue
 		}
@@ -246,16 +235,11 @@ func (pr *hioProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, err
 		}
 		retained[g] = mech.FOReports(gc.Reports)
 	}
-	maxCombos := pr.opts.MaxCombos
-	if maxCombos <= 0 {
-		maxCombos = 1 << 21
-	}
 	return &hioEstimator{
 		c: pr.p.C, d: pr.p.D,
 		tree: pr.tree, levels: pr.levels,
 		oracles: pr.oracles,
 		counts:  counts, ns: ns, retained: retained,
-		maxCombos: maxCombos,
 	}, nil
 }
 
@@ -296,8 +280,8 @@ func (e *hioEstimator) Answer(q query.Query) (float64, error) {
 		}
 		pieces[t] = nodes
 		combos *= len(nodes)
-		if combos > e.maxCombos {
-			return 0, fmt.Errorf("baselines: HIO query expands to more than %d d-dim intervals", e.maxCombos)
+		if combos > hioMaxCombos {
+			return 0, fmt.Errorf("baselines: HIO query expands to more than %d d-dim intervals", hioMaxCombos)
 		}
 	}
 	// Odometer over the Cartesian product of per-attribute pieces.

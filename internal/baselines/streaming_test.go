@@ -341,16 +341,12 @@ func seedFinalizeHIO(t *testing.T, pr *hioProtocol, byGroup [][]mech.Report) mec
 	for g, rs := range byGroup {
 		reports[g] = mech.FOReports(rs)
 	}
-	maxCombos := pr.opts.MaxCombos
-	if maxCombos <= 0 {
-		maxCombos = 1 << 21
-	}
 	return &seedHIOEstimator{
 		c: pr.p.C, d: pr.p.D,
 		tree: pr.tree, levels: pr.levels,
 		oracles: pr.oracles, reports: reports,
 		memo:      make(map[hioKey]float64),
-		maxCombos: maxCombos,
+		maxCombos: hioMaxCombos,
 	}
 }
 
@@ -493,14 +489,15 @@ func TestHIOStreamingMatchesReportPath(t *testing.T) {
 	assertSameAnswers(t, streamed, reference, streamingWorkload(t, ds.D(), ds.C))
 }
 
-// TestHIOCappedStreamingMatchesReportPath drops the streaming cap so the
-// deep levels fall back to report retention: the hybrid collector must
-// answer bit-identically to the all-retained seed path, and its exported
-// state must be the v3 hybrid shape.
+// TestHIOCappedStreamingMatchesReportPath runs HIO at d = 3, c = 64, where
+// the deep levels (up to 64³ intervals) pass the 4096 streaming cap and
+// fall back to report retention: the hybrid collector must answer
+// bit-identically to the all-retained seed path, and its exported state
+// must be the v3 hybrid shape.
 func TestHIOCappedStreamingMatchesReportPath(t *testing.T) {
-	ds := correlatedDS(t, 9000, 3, 16)
+	ds := correlatedDS(t, 9000, 3, 64)
 	p := mech.Params{N: ds.N(), D: ds.D(), C: ds.C, Eps: 1.0, Seed: 75}
-	prI, err := (&HIO{MaxStreamDomain: 64}).Protocol(p)
+	prI, err := NewHIO().Protocol(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,63 @@ func epsPoints(cfg RunConfig, d, c int, omega float64) []sweepPoint {
 	return pts
 }
 
+// omegaPoints builds a query-volume sweep at the paper's other defaults.
+func omegaPoints(cfg RunConfig) []sweepPoint {
+	var pts []sweepPoint
+	for _, omega := range cfg.omegas() {
+		pts = append(pts, sweepPoint{
+			X: fmt.Sprintf("%.1f", omega),
+			N: cfg.n(), D: paperD, C: paperC, Eps: paperEps, Omega: omega, Rho: defaultRho,
+		})
+	}
+	return pts
+}
+
+// domainPoints builds a domain-size sweep at the paper's other defaults.
+func domainPoints(cfg RunConfig) []sweepPoint {
+	var pts []sweepPoint
+	for _, c := range cfg.domains() {
+		pts = append(pts, sweepPoint{
+			X: fmt.Sprintf("%d", c),
+			N: cfg.n(), D: paperD, C: c, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
+		})
+	}
+	return pts
+}
+
+// attrPoints builds an attribute-count sweep at the paper's other defaults,
+// over the counts d ≥ minD; when the scale has none, the sweep is the
+// single point d = minD.
+func attrPoints(cfg RunConfig, minD int) []sweepPoint {
+	var pts []sweepPoint
+	for _, d := range cfg.attrCounts() {
+		if d < minD {
+			continue
+		}
+		pts = append(pts, sweepPoint{
+			X: fmt.Sprintf("%d", d),
+			N: cfg.n(), D: d, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
+		})
+	}
+	if len(pts) == 0 {
+		pts = append(pts, sweepPoint{X: fmt.Sprintf("%d", minD), N: cfg.n(), D: minD, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho})
+	}
+	return pts
+}
+
+// userPoints builds a population sweep, labelled lg(n), at the paper's
+// other defaults.
+func userPoints(cfg RunConfig) []sweepPoint {
+	var pts []sweepPoint
+	for _, n := range cfg.userCounts() {
+		pts = append(pts, sweepPoint{
+			X: fmt.Sprintf("%.1f", math.Log10(float64(n))),
+			N: n, D: paperD, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
+		})
+	}
+	return pts
+}
+
 func (c RunConfig) omegas() []float64 {
 	switch c.scale() {
 	case Smoke:
@@ -92,14 +149,7 @@ func init() {
 		Paper: "Figure 2",
 		Title: "MAE vs query volume omega (lambda = 2, 4)",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, omega := range cfg.omegas() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%.1f", omega),
-					N: cfg.n(), D: paperD, C: paperC, Eps: paperEps, Omega: omega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig2", "Figure 2", mainDatasets, []int{2, 4}, allMechNames, "omega", pts)
+			return maePanels(cfg, "fig2", "Figure 2", mainDatasets, []int{2, 4}, allMechNames, "omega", omegaPoints(cfg))
 		},
 	})
 
@@ -108,14 +158,7 @@ func init() {
 		Paper: "Figure 3",
 		Title: "MAE vs domain size c on synthetic datasets (lambda = 2, 4)",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, c := range cfg.domains() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%d", c),
-					N: cfg.n(), D: paperD, C: c, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig3", "Figure 3", synthDatasets, []int{2, 4}, noHIONames, "c", pts)
+			return maePanels(cfg, "fig3", "Figure 3", synthDatasets, []int{2, 4}, noHIONames, "c", domainPoints(cfg))
 		},
 	})
 
@@ -124,14 +167,7 @@ func init() {
 		Paper: "Figure 4",
 		Title: "MAE vs number of attributes d (lambda = 2, 4)",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, d := range cfg.attrCounts() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%d", d),
-					N: cfg.n(), D: d, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig4", "Figure 4", mainDatasets, []int{2, 4}, noHIONames, "d", pts)
+			return maePanels(cfg, "fig4", "Figure 4", mainDatasets, []int{2, 4}, noHIONames, "d", attrPoints(cfg, 0))
 		},
 	})
 
@@ -147,14 +183,7 @@ func init() {
 		Paper: "Figure 6",
 		Title: "MAE vs population n on synthetic datasets (lambda = 2, 4)",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, n := range cfg.userCounts() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%.1f", math.Log10(float64(n))),
-					N: n, D: paperD, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig6", "Figure 6", synthDatasets, []int{2, 4}, allMechNames, "lg(n)", pts)
+			return maePanels(cfg, "fig6", "Figure 6", synthDatasets, []int{2, 4}, allMechNames, "lg(n)", userPoints(cfg))
 		},
 	})
 
@@ -173,14 +202,7 @@ func init() {
 		Paper: "Figure 20",
 		Title: "MAE vs omega on Loan and Acs (lambda = 2, 4)",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, omega := range cfg.omegas() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%.1f", omega),
-					N: cfg.n(), D: paperD, C: paperC, Eps: paperEps, Omega: omega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig20", "Figure 20", newDatasets, []int{2, 4}, allMechNames, "omega", pts)
+			return maePanels(cfg, "fig20", "Figure 20", newDatasets, []int{2, 4}, allMechNames, "omega", omegaPoints(cfg))
 		},
 	})
 
@@ -189,14 +211,7 @@ func init() {
 		Paper: "Figure 21",
 		Title: "MAE vs d on Loan and Acs (lambda = 2, 4)",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, d := range cfg.attrCounts() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%d", d),
-					N: cfg.n(), D: d, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig21", "Figure 21", newDatasets, []int{2, 4}, noHIONames, "d", pts)
+			return maePanels(cfg, "fig21", "Figure 21", newDatasets, []int{2, 4}, noHIONames, "d", attrPoints(cfg, 0))
 		},
 	})
 
@@ -215,14 +230,7 @@ func init() {
 		Paper: "Figure 24",
 		Title: "MAE vs omega, lambda = 6",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, omega := range cfg.omegas() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%.1f", omega),
-					N: cfg.n(), D: paperD, C: paperC, Eps: paperEps, Omega: omega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig24", "Figure 24", mainDatasets, []int{6}, allMechNames, "omega", pts)
+			return maePanels(cfg, "fig24", "Figure 24", mainDatasets, []int{6}, allMechNames, "omega", omegaPoints(cfg))
 		},
 	})
 
@@ -231,14 +239,7 @@ func init() {
 		Paper: "Figure 25",
 		Title: "MAE vs domain size c, lambda = 6",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, c := range cfg.domains() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%d", c),
-					N: cfg.n(), D: paperD, C: c, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig25", "Figure 25", synthDatasets, []int{6}, noHIONames, "c", pts)
+			return maePanels(cfg, "fig25", "Figure 25", synthDatasets, []int{6}, noHIONames, "c", domainPoints(cfg))
 		},
 	})
 
@@ -247,20 +248,8 @@ func init() {
 		Paper: "Figure 26",
 		Title: "MAE vs d, lambda = 6",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, d := range cfg.attrCounts() {
-				if d < 6 {
-					continue // lambda = 6 needs at least 6 attributes
-				}
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%d", d),
-					N: cfg.n(), D: d, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			if len(pts) == 0 {
-				pts = append(pts, sweepPoint{X: "6", N: cfg.n(), D: 6, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho})
-			}
-			return maePanels(cfg, "fig26", "Figure 26", mainDatasets, []int{6}, noHIONames, "d", pts)
+			// lambda = 6 needs at least 6 attributes.
+			return maePanels(cfg, "fig26", "Figure 26", mainDatasets, []int{6}, noHIONames, "d", attrPoints(cfg, 6))
 		},
 	})
 
@@ -269,14 +258,7 @@ func init() {
 		Paper: "Figure 27",
 		Title: "MAE vs n on synthetic datasets, lambda = 6",
 		Run: func(cfg RunConfig) ([]*Result, error) {
-			var pts []sweepPoint
-			for _, n := range cfg.userCounts() {
-				pts = append(pts, sweepPoint{
-					X: fmt.Sprintf("%.1f", math.Log10(float64(n))),
-					N: n, D: paperD, C: paperC, Eps: paperEps, Omega: paperOmega, Rho: defaultRho,
-				})
-			}
-			return maePanels(cfg, "fig27", "Figure 27", synthDatasets, []int{6}, allMechNames, "lg(n)", pts)
+			return maePanels(cfg, "fig27", "Figure 27", synthDatasets, []int{6}, allMechNames, "lg(n)", userPoints(cfg))
 		},
 	})
 

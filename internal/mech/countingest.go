@@ -144,8 +144,8 @@ func defaultStripes() int {
 // Retain marks a group that cannot stream: its reports are kept verbatim in
 // an append-only per-group store instead of folding (Len must be 0 and Fold
 // nil). This is the fallback for groups whose enumeration domain is too
-// large for a count vector — HIO's deepest d-dim levels past its
-// MaxStreamDomain cap — and costs O(reports) memory for that group alone;
+// large for a count vector — HIO's deepest d-dim levels past its 4096-value
+// streaming cap — and costs O(reports) memory for that group alone;
 // every other group of the same collector still streams. A collector with
 // any retained group exports v3 (hybrid) states instead of v2.
 //

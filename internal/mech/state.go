@@ -55,7 +55,7 @@ const StateVersionCounts = 2
 // StateVersionHybrid is the mixed (v3) CollectorState wire-format version: a
 // count state in which individual groups may carry their raw report multiset
 // instead of a count vector. It exists for collectors with a per-group
-// streaming cap (HIO's MaxStreamDomain): groups whose enumeration domain
+// streaming cap (HIO's 4096-value cap): groups whose enumeration domain
 // fits the cap fold as in v2, the rare over-cap group retains reports. A
 // group carries counts or reports, never both, and a retained group's N
 // always equals len(Reports).

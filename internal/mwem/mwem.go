@@ -258,47 +258,52 @@ func MaxEntVector(lambda int, answers []PairAnswer, opts Options) ([]float64, []
 type Pair2DFunc func(a, b int, pa, pb query.Pred) (float64, error)
 
 // Answer answers a range query against a d-attribute, domain-c schema
-// through its pairwise decomposition. It validates q and sorts its
-// predicates by attribute. A 1-D query goes to oneD when that is non-nil
-// (HDG's fine 1-D grids); otherwise it is the marginal of the pair
-// (a, a+1 mod d) over the partner's full range. A λ-D query with λ ≥ 2 goes
-// through AnswerRange. It returns the estimate and the Algorithm 2
-// convergence trace (nil for λ ≤ 2).
+// through its pairwise decomposition. It validates q. A 1-D query goes to
+// oneD when that is non-nil (HDG's fine 1-D grids); otherwise it is the
+// marginal of the pair (a, a+1 mod d) over the partner's full range. A λ-D
+// query with λ ≥ 2 goes through AnswerRange. It returns the estimate and
+// the Algorithm 2 convergence trace (nil for λ ≤ 2).
 func Answer(q query.Query, d, c int, oneD func(query.Pred) float64, pair2D Pair2DFunc, opts Options) (float64, []float64, error) {
 	if err := q.Validate(d, c); err != nil {
 		return 0, nil, err
 	}
-	qs := q.Sorted()
-	if len(qs) > 1 {
-		return AnswerRange(qs, pair2D, opts)
+	if len(q) > 1 {
+		return AnswerRange(q, pair2D, opts)
 	}
 	if oneD != nil {
-		return oneD(qs[0]), nil, nil
+		return oneD(q[0]), nil, nil
 	}
-	a := qs[0].Attr
+	a := q[0].Attr
 	partner := (a + 1) % d
 	full := query.Pred{Attr: partner, Lo: 0, Hi: c - 1}
 	if partner < a {
-		f, err := pair2D(partner, a, full, qs[0])
+		f, err := pair2D(partner, a, full, q[0])
 		return f, nil, err
 	}
-	f, err := pair2D(a, partner, qs[0], full)
+	f, err := pair2D(a, partner, q[0], full)
 	return f, nil, err
 }
 
 // AnswerRange answers a λ-D range query (λ ≥ 2) through its pairwise
-// decomposition: directly for λ = 2, via Algorithm 2 otherwise. It returns
-// the estimate and the Algorithm 2 convergence trace (nil for λ = 2).
+// decomposition, with predicates taken in attribute order: directly for
+// λ = 2, via Algorithm 2 otherwise. It returns the estimate and the
+// Algorithm 2 convergence trace (nil for λ = 2).
 func AnswerRange(q query.Query, pair2D Pair2DFunc, opts Options) (float64, []float64, error) {
-	qs := q.Sorted()
-	lambda := len(qs)
+	lambda := len(q)
 	if lambda < 2 {
 		return 0, nil, fmt.Errorf("mwem: AnswerRange needs lambda >= 2, got %d", lambda)
 	}
 	if lambda == 2 {
-		f, err := pair2D(qs[0].Attr, qs[1].Attr, qs[0], qs[1])
+		// Ordering two predicates is one comparison; Sorted would copy
+		// them and run sort.Slice on every out-of-order query.
+		pa, pb := q[0], q[1]
+		if pb.Attr < pa.Attr {
+			pa, pb = pb, pa
+		}
+		f, err := pair2D(pa.Attr, pb.Attr, pa, pb)
 		return f, nil, err
 	}
+	qs := q.Sorted()
 	var answers []PairAnswer
 	for i := 0; i < lambda; i++ {
 		for j := i + 1; j < lambda; j++ {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -15,6 +13,7 @@ import (
 	"time"
 
 	"privmdr/internal/atomicfile"
+	"privmdr/internal/httpapi"
 	"privmdr/internal/loop"
 	"privmdr/internal/mech"
 )
@@ -82,9 +81,6 @@ import (
 type QueryServer struct {
 	proto Protocol
 	mux   *http.ServeMux
-
-	// maxBody caps request bodies (reports frames and query batches).
-	maxBody int64
 
 	coll Collector
 
@@ -189,12 +185,8 @@ type ServerParams struct {
 	Params
 }
 
-// maxRequestBody is the default request-size cap: large enough for
-// million-report shards (≤ 13 bytes per report) yet bounded.
-const maxRequestBody = 64 << 20
-
 // maxJSONStateBody caps POST /state bodies sent as JSON (the debugging
-// transport); binary states may use the full maxRequestBody.
+// transport); binary states may use the full httpapi.MaxBody.
 const maxJSONStateBody = 8 << 20
 
 // NewQueryServer wraps a protocol in a fresh finalize-once HTTP query
@@ -220,10 +212,9 @@ func newQueryServer(proto Protocol, live bool, opts LiveOptions) (*QueryServer, 
 		return nil, err
 	}
 	s := &QueryServer{
-		proto:   proto,
-		coll:    coll,
-		maxBody: maxRequestBody,
-		live:    live,
+		proto: proto,
+		coll:  coll,
+		live:  live,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -290,7 +281,7 @@ func (s *QueryServer) refresh(minNew int, forced bool) (*servingEpoch, bool, err
 	cur := s.cur.Load()
 	if s.finalized.Load() {
 		if s.finalErr != nil {
-			return nil, false, s.finalErr
+			return nil, false, httpapi.Mark(s.finalErr, http.StatusInternalServerError)
 		}
 		// Finalize is terminal: there is nothing left to refresh from.
 		return nil, false, fmt.Errorf("privmdr: server already finalized: %w", ErrCollectorFinalized)
@@ -317,7 +308,7 @@ func (s *QueryServer) refresh(minNew int, forced bool) (*servingEpoch, bool, err
 	if err != nil {
 		msg := err.Error()
 		s.lastRefreshErr.Store(&msg)
-		return cur, false, err
+		return cur, false, httpapi.Mark(err, http.StatusInternalServerError)
 	}
 	s.lastRefreshErr.Store(nil)
 	next := &servingEpoch{est: est, epoch: s.lastEpoch.Load() + 1, reports: n}
@@ -578,11 +569,11 @@ func (s *QueryServer) Status() ServerStatus {
 }
 
 func (s *QueryServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
+	httpapi.WriteJSON(w, http.StatusOK, s.Status())
 }
 
 func (s *QueryServer) handleParams(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ServerParams{Mechanism: s.proto.Name(), Params: s.proto.Params()})
+	httpapi.WriteJSON(w, http.StatusOK, ServerParams{Mechanism: s.proto.Name(), Params: s.proto.Params()})
 }
 
 // reportFrame holds one POST /reports handler's reusable buffers: the raw
@@ -596,10 +587,10 @@ type reportFrame struct {
 	batch []Report
 }
 
-var framePool = sync.Pool{New: func() any { return new(reportFrame) }}
+var framePool = sync.Pool{New: func() any { return &reportFrame{body: make([]byte, 0, 32<<10)} }}
 
 // Frame buffers past these caps are dropped instead of pooled: bodies up to
-// maxRequestBody are legal, and one giant frame must not pin its body and
+// httpapi.MaxBody are legal, and one giant frame must not pin its body and
 // decoded batch (24 B per report) in the pool for the life of the process.
 // Typical frames (a few thousand reports) stay far under both caps and keep
 // the warm path allocation-free.
@@ -619,71 +610,50 @@ func putFrame(fr *reportFrame) {
 	framePool.Put(fr)
 }
 
-// readBody reads r to EOF into dst, reusing (and growing) its capacity —
-// io.ReadAll without the fresh allocation per call.
-func readBody(r io.Reader, dst []byte) ([]byte, error) {
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, 32<<10)
-	}
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
 func (s *QueryServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	// Reject late shards before paying for the body read and decode. A live
 	// server never finalizes implicitly, so this gate only closes after an
 	// explicit POST /finalize.
 	if s.finalized.Load() {
-		writeError(w, http.StatusConflict, fmt.Errorf("server already finalized; reports are no longer accepted"))
+		httpapi.WriteError(w, http.StatusConflict, fmt.Errorf("server already finalized; reports are no longer accepted"))
 		return
 	}
 	fr := framePool.Get().(*reportFrame)
 	defer putFrame(fr)
 	var err error
-	fr.body, err = readBody(http.MaxBytesReader(w, r.Body, s.maxBody), fr.body[:0])
+	fr.body, err = httpapi.ReadBody(w, r, httpapi.MaxBody, fr.body[:0])
 	if err != nil {
-		writeError(w, bodyErrStatus(err), fmt.Errorf("reading frame: %w", err))
+		httpapi.WriteError(w, httpapi.Status(err), fmt.Errorf("reading frame: %w", err))
 		return
 	}
 	fr.batch, err = mech.AppendDecodedReports(fr.batch[:0], fr.body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.coll.SubmitBatch(fr.batch); err != nil {
 		// A finalize can win the race between the gate above and SubmitBatch
 		// (409 via ErrCollectorFinalized); anything else is a report that
 		// decoded but fails the protocol's validation — a bad payload (400).
-		writeError(w, bodyErrStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": len(fr.batch), "received": s.Received()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"accepted": len(fr.batch), "received": s.Received()})
 }
 
 func (s *QueryServer) handleStateGet(w http.ResponseWriter, r *http.Request) {
 	st, err := s.State()
 	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
 	if strings.EqualFold(r.URL.Query().Get("format"), "json") {
-		writeJSON(w, http.StatusOK, st)
+		httpapi.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	data, err := st.MarshalBinary()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -698,48 +668,44 @@ func (s *QueryServer) handleStateMerge(w http.ResponseWriter, r *http.Request) {
 	// so JSON states get a much smaller body budget to bound that
 	// amplification. Large states travel as binary, whose decoder enforces
 	// its caps before allocating.
-	maxBody := s.maxBody
+	limit := int64(httpapi.MaxBody)
 	isJSON := strings.Contains(r.Header.Get("Content-Type"), "application/json")
-	if isJSON && maxBody > maxJSONStateBody {
-		maxBody = maxJSONStateBody
+	if isJSON {
+		limit = maxJSONStateBody
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := httpapi.ReadBody(w, r, limit, nil)
 	if err != nil {
-		writeError(w, bodyErrStatus(err), fmt.Errorf("reading state: %w", err))
+		httpapi.WriteError(w, httpapi.Status(err), fmt.Errorf("reading state: %w", err))
 		return
 	}
 	var st CollectorState
 	if isJSON {
 		if err := json.Unmarshal(body, &st); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding state JSON: %w", err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding state JSON: %w", err))
 			return
 		}
 	} else if err := st.UnmarshalBinary(body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.Merge(st); err != nil {
-		writeError(w, bodyErrStatus(err), err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"merged": st.Received(), "received": s.Received()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"merged": st.Received(), "received": s.Received()})
 }
 
 func (s *QueryServer) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if !s.live {
-		writeError(w, http.StatusConflict, fmt.Errorf("refresh requires live mode (privmdr serve -refresh); POST /finalize is this server's only transition"))
+		httpapi.WriteError(w, http.StatusConflict, fmt.Errorf("refresh requires live mode (privmdr serve -refresh); POST /finalize is this server's only transition"))
 		return
 	}
 	ep, swapped, err := s.refresh(0, true)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrCollectorFinalized) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		httpapi.WriteError(w, httpapi.Status(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"epoch":             ep.epoch,
 		"swapped":           swapped,
 		"estimator_reports": ep.reports,
@@ -749,25 +715,25 @@ func (s *QueryServer) handleRefresh(w http.ResponseWriter, r *http.Request) {
 
 func (s *QueryServer) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.Finalize(); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"finalized": true, "received": s.Received()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"finalized": true, "received": s.Received()})
 }
 
 func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := httpapi.ReadBody(w, r, httpapi.MaxBody, nil)
 	if err != nil {
-		writeError(w, bodyErrStatus(err), fmt.Errorf("reading query batch: %w", err))
+		httpapi.WriteError(w, httpapi.Status(err), fmt.Errorf("reading query batch: %w", err))
 		return
 	}
 	var req QueryRequest
 	if err := req.UnmarshalJSON(body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding query batch: %w", err))
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding query batch: %w", err))
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("query batch is empty"))
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("query batch is empty"))
 		return
 	}
 	// Validate against the public schema before touching the lifecycle: a
@@ -776,47 +742,21 @@ func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	p := s.proto.Params()
 	for i, q := range req.Queries {
 		if err := q.Validate(p.D, p.C); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
 	}
 	ep, err := s.serving()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	answers, err := AnswerBatch(ep.est, req.Queries)
 	if err != nil {
 		// The batch already passed validation, so whatever failed is the
 		// server's problem, not the client's.
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{Answers: answers})
-}
-
-// bodyErrStatus maps a request-handling error to its HTTP status: 413 for
-// oversized bodies, 409 for requests that were well-formed but conflict
-// with the server's lifecycle or deployment (state/params mismatch, already
-// finalized), and 400 for everything malformed — so a client can tell
-// "fix your payload" apart from "fix your deployment or timing".
-func bodyErrStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	if errors.Is(err, ErrStateMismatch) || errors.Is(err, ErrCollectorFinalized) {
-		return http.StatusConflict
-	}
-	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	httpapi.WriteJSON(w, http.StatusOK, QueryResponse{Answers: answers})
 }

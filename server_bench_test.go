@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"privmdr/internal/httpapi"
 	"privmdr/internal/mech"
 )
 
@@ -29,7 +30,7 @@ func frameFixture(tb testing.TB, n int) []byte {
 // buffer, then batch decode into a reused slice.
 func decodeFrame(tb testing.TB, src *bytes.Reader, fr *reportFrame) {
 	var err error
-	fr.body, err = readBody(src, fr.body[:0])
+	fr.body, err = httpapi.ReadAll(src, fr.body[:0])
 	if err != nil {
 		tb.Fatal(err)
 	}

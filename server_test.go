@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"privmdr"
+	"privmdr/internal/httpapi"
 )
 
 // serverFixture builds a small HDG deployment: the public params, every
@@ -482,8 +483,10 @@ func TestQueryServerStateMergeStatuses(t *testing.T) {
 	}
 }
 
-// TestBodyErrStatus pins the error→status mapping table: oversized bodies
-// 413, lifecycle/deployment conflicts 409, everything malformed 400.
+// TestBodyErrStatus pins the error→status mapping the query server answers
+// with, through httpapi.Status: oversized bodies 413, lifecycle/deployment
+// conflicts 409, a marked estimate failure its mark, everything malformed
+// 400.
 func TestBodyErrStatus(t *testing.T) {
 	cases := []struct {
 		name string
@@ -496,12 +499,13 @@ func TestBodyErrStatus(t *testing.T) {
 		{"wrapped state mismatch", fmt.Errorf("mech: state of TDG: %w", privmdr.ErrStateMismatch), http.StatusConflict},
 		{"finalized", privmdr.ErrCollectorFinalized, http.StatusConflict},
 		{"wrapped finalized", fmt.Errorf("privmdr: %w", privmdr.ErrCollectorFinalized), http.StatusConflict},
+		{"marked finalize failure", httpapi.Mark(privmdr.ErrCollectorFinalized, http.StatusInternalServerError), http.StatusInternalServerError},
 		{"plain decode error", errors.New("mech: truncated report group"), http.StatusBadRequest},
 		{"json syntax error", fmt.Errorf("decoding query batch: %w", errors.New("unexpected EOF")), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if got := privmdr.BodyErrStatus(tc.err); got != tc.want {
-			t.Errorf("%s: bodyErrStatus = %d, want %d", tc.name, got, tc.want)
+		if got := httpapi.Status(tc.err); got != tc.want {
+			t.Errorf("%s: Status = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
