@@ -42,7 +42,8 @@ func newTransport(timeout time.Duration) *transport {
 
 // post sends body to url, retrying on network errors and 5xx. It returns
 // the final response's status and (bounded) body; err is non-nil only when
-// every attempt failed at the transport level or the context ended.
+// every attempt failed, at the transport level or with a 5xx, or the
+// context ended.
 func (t *transport) post(ctx context.Context, url, contentType string, body []byte) (int, []byte, error) {
 	return t.do(ctx, http.MethodPost, url, contentType, body, t.attempts)
 }
@@ -69,6 +70,7 @@ func (t *transport) do(ctx context.Context, method, url, contentType string, bod
 		attempts = t.attempts
 	}
 	var lastErr error
+	answered := false // the last attempt got an HTTP answer (a 5xx)
 	cap := t.backoff
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -96,20 +98,25 @@ func (t *transport) do(ctx context.Context, method, url, contentType string, bod
 			if ctx.Err() != nil {
 				return 0, nil, ctx.Err()
 			}
-			lastErr = err
+			lastErr, answered = err, false
 			continue
 		}
 		payload, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBody))
 		resp.Body.Close()
 		if err != nil {
-			lastErr = err
+			lastErr, answered = err, false
 			continue
 		}
 		if resp.StatusCode >= 500 {
-			lastErr = fmt.Errorf("dist: %s: %d %s", url, resp.StatusCode, payload)
+			lastErr, answered = fmt.Errorf("%d %s", resp.StatusCode, payload), true
 			continue
 		}
 		return resp.StatusCode, payload, nil
+	}
+	if answered {
+		// The peer is up and said why it failed: quote it, so a 503 from a
+		// failing journal does not read as a network fault.
+		return 0, nil, fmt.Errorf("dist: %s failed after %d attempts: %w", url, attempts, lastErr)
 	}
 	return 0, nil, fmt.Errorf("dist: %s unreachable after %d attempts: %w", url, attempts, lastErr)
 }

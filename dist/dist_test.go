@@ -1168,7 +1168,7 @@ func TestStatusContract(t *testing.T) {
 		}
 		serveRows(t, shard, []statusRow{
 			{"push while the journal fails", "POST /v1/census/push", nil, http.StatusBadGateway,
-				errJSON(t, "dist: "+url+" unreachable after 4 attempts: dist: "+url+": 503 "+journalErr), false},
+				errJSON(t, "dist: "+url+" failed after 4 attempts: 503 "+journalErr), false},
 		})
 		frozen, err := shard.tenants["census"].inflight.env.MarshalBinary()
 		if err != nil {

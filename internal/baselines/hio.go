@@ -257,43 +257,48 @@ func max64(a uint64, b uint64) uint64 {
 	return b
 }
 
-// Answer implements mech.Estimator.
+// Answer implements mech.Estimator. The decompositions and the odometer
+// live in stack arrays, so an answer allocates nothing unless it outgrows
+// them (d > 16, or more than 128 pieces) or fills a retained group's memo.
 func (e *hioEstimator) Answer(q query.Query) (float64, error) {
 	if err := q.Validate(e.d, e.c); err != nil {
 		return 0, err
 	}
-	// Expand to all d attributes: unqueried attributes take the full range,
-	// whose canonical decomposition is the single root interval.
-	ranges := make([][2]int, e.d)
-	for t := range ranges {
-		ranges[t] = [2]int{0, e.c - 1}
-	}
-	for _, p := range q {
-		ranges[p.Attr] = [2]int{p.Lo, p.Hi}
-	}
-	pieces := make([][]hierarchy.Node, e.d)
+	// Attribute t's canonical pieces are nodes[ends[t]:ends[t+1]], and the
+	// odometer points choice[t] at one of them. An unqueried attribute takes
+	// the full range, whose decomposition is the single root interval.
+	var nodeBuf [128]hierarchy.Node
+	var endBuf [17]int
+	var choiceBuf [16]int
+	nodes, ends, choice := nodeBuf[:0], append(endBuf[:0], 0), choiceBuf[:0]
 	combos := 1
-	for t, r := range ranges {
-		nodes, err := e.tree.Decompose(nil, r[0], r[1])
-		if err != nil {
+	for t := 0; t < e.d; t++ {
+		lo, hi := 0, e.c-1
+		for _, p := range q {
+			if p.Attr == t {
+				lo, hi = p.Lo, p.Hi
+			}
+		}
+		var err error
+		if nodes, err = e.tree.Decompose(nodes, lo, hi); err != nil {
 			return 0, err
 		}
-		pieces[t] = nodes
-		combos *= len(nodes)
+		choice = append(choice, ends[t])
+		ends = append(ends, len(nodes))
+		combos *= ends[t+1] - ends[t]
 		if combos > hioMaxCombos {
 			return 0, fmt.Errorf("baselines: HIO query expands to more than %d d-dim intervals", hioMaxCombos)
 		}
 	}
 	// Odometer over the Cartesian product of per-attribute pieces.
-	choice := make([]int, e.d)
 	ans := 0.0
 	for {
 		li := 0
 		stride := 1
 		id := uint64(0)
 		idStride := uint64(1)
-		for t := 0; t < e.d; t++ {
-			node := pieces[t][choice[t]]
+		for _, ci := range choice {
+			node := nodes[ci]
 			li += node.Level * stride
 			stride *= e.levels
 			id += uint64(node.Index) * idStride
@@ -320,10 +325,10 @@ func (e *hioEstimator) Answer(q query.Query) (float64, error) {
 		t := 0
 		for ; t < e.d; t++ {
 			choice[t]++
-			if choice[t] < len(pieces[t]) {
+			if choice[t] < ends[t+1] {
 				break
 			}
-			choice[t] = 0
+			choice[t] = ends[t]
 		}
 		if t == e.d {
 			break

@@ -44,7 +44,10 @@ func (h *HDG) Name() string {
 // Algorithm 1 starts uniform and every update rescales whole constraint
 // rectangles, hence whole atoms: the c×c cells inside an atom stay equal, and
 // running the iteration on atom masses is the same computation in exact
-// arithmetic. Memory and warm-up per pair depend on g, not on c.
+// arithmetic. mwem.BuildResponseMatrix keeps the atoms as row band × column
+// band × 2-D cell factors while it iterates, so a sweep costs O(g + g₂²),
+// and multiplies out the g² atoms once. Memory and warm-up per pair depend
+// on g, not on c.
 type hdgEstimator struct {
 	c, d   int
 	G1, G2 int
@@ -143,22 +146,7 @@ func (e *hdgEstimator) responseMatrix(pi int, a, b int) (*grid.Grid2D, error) {
 // buildResponseMatrix runs Algorithm 1 for pair pi on its atom grid and
 // memoizes the sealed result. Called exactly once per pair via matOnce.
 func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
-	g := max(e.G1, e.G2)
-	ga, gb, gab := e.grids1[a], e.grids1[b], e.grids2[pi]
-	cells := make([]mwem.CellConstraint, 0, len(ga.Freq)+len(gb.Freq)+len(gab.Freq))
-	k := g / e.G1 // atoms per 1-D cell
-	for i, f := range ga.Freq {
-		cells = append(cells, mwem.CellConstraint{R0: i * k, R1: (i+1)*k - 1, C0: 0, C1: g - 1, Freq: f})
-	}
-	for i, f := range gb.Freq {
-		cells = append(cells, mwem.CellConstraint{R0: 0, R1: g - 1, C0: i * k, C1: (i+1)*k - 1, Freq: f})
-	}
-	k = g / e.G2 // atoms per 2-D cell side
-	for i, f := range gab.Freq {
-		r, col := i/e.G2, i%e.G2
-		cells = append(cells, mwem.CellConstraint{R0: r * k, R1: (r+1)*k - 1, C0: col * k, C1: (col+1)*k - 1, Freq: f})
-	}
-	m, trace, err := mwem.BuildResponseMatrix(g, cells, e.wu)
+	m, trace, err := mwem.BuildResponseMatrix(e.grids1[a].Freq, e.grids1[b].Freq, e.grids2[pi].Freq, e.wu)
 	if err != nil {
 		e.matErr[pi] = err
 		return
@@ -168,7 +156,7 @@ func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
 		e.Alg1Traces = append(e.Alg1Traces, trace)
 		e.mu.Unlock()
 	}
-	atoms, err := grid.NewGrid2D(e.c, g)
+	atoms, err := grid.NewGrid2D(e.c, max(e.G1, e.G2))
 	if err != nil {
 		e.matErr[pi] = err
 		return

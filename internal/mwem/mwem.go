@@ -2,7 +2,9 @@
 // (Arora/Hardt-style multiplicative weights):
 //
 //   - Algorithm 1 — building the response matrix M^(j,k) for an attribute
-//     pair from the three grids {G(j), G(k), G(j,k)} (Section 4.3);
+//     pair from the three grids {G(j), G(k), G(j,k)} (Section 4.3), on the
+//     pair's atom grid and in product form: every update rescales a whole
+//     band or cell, so a sweep touches only per-band and per-cell factors;
 //   - Algorithm 2 — estimating the answer of a λ-D range query from its
 //     (λ choose 2) associated 2-D answers (Section 4.4);
 //
@@ -19,7 +21,9 @@ package mwem
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
+	"privmdr/internal/mathx"
 	"privmdr/internal/query"
 )
 
@@ -56,69 +60,195 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CellConstraint is one grid cell's contribution to Algorithm 1: the
-// inclusive rectangle of matrix entries the cell covers in the pair's n×n
-// matrix (1-D cells span the full range of the other attribute) and the
-// cell's post-processed frequency.
-type CellConstraint struct {
-	R0, R1, C0, C1 int
-	Freq           float64
-}
-
-// BuildResponseMatrix runs Algorithm 1 on an n×n matrix: starting from the
-// uniform matrix it repeatedly rescales each constraint's rectangle so its
-// mass matches the cell frequency, until the per-sweep L1 change drops
-// below opts.Tol. It returns the matrix (row-major; rows = first attribute)
-// and the per-sweep change trace.
+// BuildResponseMatrix runs Algorithm 1 (Section 4.3) for one attribute pair
+// (j, k) from its three grids: rows holds G(j)'s g₁ frequencies, cols
+// G(k)'s g₁, and cells the g₂×g₂ frequencies of G(j,k), row-major; g₁ and g₂
+// are powers of two. Starting from the uniform matrix it sweeps the
+// constraints — rows, then columns, then 2-D cells — rescaling each one's
+// mass to its frequency, until the per-sweep L1 change drops below
+// opts.Tol. It returns the matrix on the pair's g×g atom grid,
+// g = max(g₁, g₂) (row-major; rows = attribute j), and the per-sweep change
+// trace.
 //
-// The paper states it over the pair's c×c value domain. HDG calls it with
-// n = g, the pair's atom grid: the cells cut out by the 1-D and 2-D grid
-// boundaries, each atom one entry holding its whole mass. Every rescaling
-// covers whole atoms, so that is the same iteration in exact arithmetic at
-// g² entries instead of c².
-func BuildResponseMatrix(n int, cells []CellConstraint, opts Options) ([]float64, []float64, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mwem: domain size %d < 1", n)
+// The paper states Algorithm 1 over the pair's c×c value domain. The 1-D
+// and 2-D cell boundaries cut it into the g×g atoms, and every rescaling
+// covers whole atoms, so iterating on atom masses is the same computation in
+// exact arithmetic. Each rescaling multiplies a whole band (a 1-D cell's
+// atoms) or a whole 2-D cell, so atom (x, y) always holds
+// u[band(x)]·v[band(y)]·w[cell(x, y)], and the iteration updates only these
+// factors. A band's mass is its factor times a sum over the g₂×g₂ cells of w
+// weighted by the other attribute's factor sums, and a cell's is w times one
+// factor sum per attribute. A sweep thus costs O(g + g₂²), and the g² atoms
+// are multiplied out once at the end.
+func BuildResponseMatrix(rows, cols, cells []float64, opts Options) ([]float64, []float64, error) {
+	g1 := len(rows)
+	g2 := int(math.Sqrt(float64(len(cells))))
+	if len(cols) != g1 || g2*g2 != len(cells) || !mathx.IsPow2(g1) || !mathx.IsPow2(g2) {
+		return nil, nil, fmt.Errorf("mwem: grids of %d, %d and %d cells are not g₁, g₁ and g₂×g₂ for powers of two g₁, g₂", len(rows), len(cols), len(cells))
 	}
 	opts = opts.withDefaults()
-	m := make([]float64, n*n)
-	init := 1 / float64(n*n)
-	for i := range m {
-		m[i] = init
+	g := max(g1, g2)
+	// Atom x lies in band x>>s1 and in block x>>s2, the blocks being the
+	// 2-D grid's rows (or columns). One of s1 and s2 is 0.
+	s1, s2 := uint(bits.TrailingZeros(uint(g/g1))), uint(bits.TrailingZeros(uint(g/g2)))
+	// The factors u, v and w, w holding the uniform start 1/g². Per block:
+	// U and V, the sums of u and v over the block's atoms, and S, one atom
+	// row's (or column's) mass per unit of its band's factor. Each has an
+	// absolute twin for the L1 change; IHDG's negative cells make them
+	// differ.
+	buf := make([]float64, 2*g1+g2*g2+6*g2)
+	carve := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	u, v, w := carve(g1), carve(g1), carve(g2*g2)
+	U, Uabs, V, Vabs, S, Sabs := carve(g2), carve(g2), carve(g2), carve(g2), carve(g2), carve(g2)
+	for i := range u {
+		u[i], v[i] = 1, 1
+	}
+	init := 1 / float64(g*g)
+	for i := range w {
+		w[i] = init
 	}
 	var trace []float64
+	blockSums(V, Vabs, v, s1, s2)
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		change := 0.0
-		for _, s := range cells {
-			y := 0.0
-			for r := s.R0; r <= s.R1; r++ {
-				row := m[r*n : r*n+n]
-				for col := s.C0; col <= s.C1; col++ {
-					y += row[col]
-				}
+		// Rows: an atom row in block I holds u·Σ_J w[I][J]·V[J].
+		for I := range S {
+			m, a := 0.0, 0.0
+			for J, wij := range w[I*g2 : (I+1)*g2] {
+				m += wij * V[J]
+				a += math.Abs(wij) * Vabs[J]
 			}
-			if y == 0 {
-				continue
+			S[I], Sabs[I] = m, a
+		}
+		change += rescaleBands(u, rows, S, Sabs, s1, s2)
+		// Columns: an atom column in block J holds v·Σ_I w[I][J]·U[I].
+		blockSums(U, Uabs, u, s1, s2)
+		for J := range S {
+			m, a := 0.0, 0.0
+			for I, ui := range U {
+				wij := w[I*g2+J]
+				m += wij * ui
+				a += math.Abs(wij) * Uabs[I]
 			}
-			factor := s.Freq / y
-			if factor == 1 {
-				continue
+			S[J], Sabs[J] = m, a
+		}
+		change += rescaleBands(v, cols, S, Sabs, s1, s2)
+		// 2-D cells: cell (I, J) holds w·U[I]·V[J]. The cells leave v alone,
+		// so V also serves the next sweep's rows.
+		blockSums(V, Vabs, v, s1, s2)
+		for I := range U {
+			for J := range V {
+				i := I*g2 + J
+				change += rescale(&w[i], cells[i], U[I]*V[J], Uabs[I]*Vabs[J])
 			}
-			for r := s.R0; r <= s.R1; r++ {
-				row := m[r*n : r*n+n]
-				for col := s.C0; col <= s.C1; col++ {
-					old := row[col]
-					row[col] = old * factor
-					change += math.Abs(row[col] - old)
-				}
-			}
+		}
+		rebalance(u, Uabs, w, g2, s1, s2, false)
+		if rebalance(v, Vabs, w, g2, s1, s2, true) {
+			blockSums(V, Vabs, v, s1, s2)
 		}
 		trace = append(trace, change)
 		if change < opts.Tol {
 			break
 		}
 	}
+	m := make([]float64, g*g)
+	for x := 0; x < g; x++ {
+		ux, wx, row := u[x>>s1], w[(x>>s2)*g2:], m[x*g:(x+1)*g]
+		for y := range row {
+			row[y] = ux * v[y>>s1] * wx[y>>s2]
+		}
+	}
 	return m, trace, nil
+}
+
+// blockSums sets sum[J] and abs[J] to the sum of the band factors f, and of
+// |f|, over the atoms of block J: the 1<<s2 one-atom bands from J<<s2 when
+// s1 = 0, or the one band J>>s1 when s2 = 0.
+func blockSums(sum, abs, f []float64, s1, s2 uint) {
+	for J := range sum {
+		s, a := 0.0, 0.0
+		lo := J << s2 >> s1
+		for _, fi := range f[lo : lo+1<<s2] {
+			s += fi
+			a += math.Abs(fi)
+		}
+		sum[J], abs[J] = s, a
+	}
+}
+
+// rescaleBands runs the constraints of one attribute's 1-D grid and returns
+// their L1 change. Band i has factor f[i] and holds f[i] times the sum of
+// mass over its atoms, mass[I] being one atom's mass in block I per unit of
+// factor: the band is one atom of block i>>s2 when s1 = 0, or spans the
+// 1<<s1 one-atom blocks from i<<s1 when s2 = 0.
+func rescaleBands(f, freqs, mass, abs []float64, s1, s2 uint) float64 {
+	change := 0.0
+	for i, freq := range freqs {
+		m, a := 0.0, 0.0
+		lo := i << s1 >> s2
+		for I, mI := range mass[lo : lo+1<<s1] {
+			m += mI
+			a += abs[lo+I]
+		}
+		change += rescale(&f[i], freq, m, a)
+	}
+	return change
+}
+
+// rebalance keeps one attribute's band factors f within [2⁻⁶⁴, 2⁶⁴] and
+// reports whether it moved any; abs[I] is the sum of |f| over block I's
+// atoms. A unit, the coarser of a band and a block, keeps u·v·w when its
+// bands' factors are divided by a power of two and its blocks' w (rows of w
+// for rows, columns for cols) multiplied by it, and powers of two scale
+// exactly, so the iteration is unchanged. Where a constraint's mass nearly
+// cancels, as on IHDG's raw grids, each sweep can grow a band's factor by
+// orders of magnitude and shrink its cells' w by as much; without this the
+// factors would overflow while the matrix stayed finite.
+func rebalance(f, abs, w []float64, g2 int, s1, s2 uint, cols bool) bool {
+	moved := false
+	for k := 0; k < g2>>s1; k++ {
+		a := abs[k<<s1]
+		if a == 0 || (a >= 0x1p-64 && a <= 0x1p64) {
+			continue
+		}
+		_, e := math.Frexp(a)
+		for i := k << s2; i < (k+1)<<s2; i++ {
+			f[i] = math.Ldexp(f[i], -e)
+		}
+		for I := k << s1; I < (k+1)<<s1; I++ {
+			for J := 0; J < g2; J++ {
+				if cols {
+					w[J*g2+I] = math.Ldexp(w[J*g2+I], e)
+				} else {
+					w[I*g2+J] = math.Ldexp(w[I*g2+J], e)
+				}
+			}
+		}
+		moved = true
+	}
+	return moved
+}
+
+// rescale is one constraint of Algorithm 1 on a factor p whose constraint
+// holds mass p·m (absolute mass |p|·a): it scales p so that mass equals freq
+// and returns the L1 change, |factor − 1| times the absolute mass. A
+// constraint with zero mass, or one already met, is left alone.
+func rescale(p *float64, freq, m, a float64) float64 {
+	y := *p * m
+	if y == 0 {
+		return 0
+	}
+	factor := freq / y
+	if factor == 1 {
+		return 0
+	}
+	change := math.Abs(factor-1) * math.Abs(*p) * a
+	*p *= factor
+	return change
 }
 
 // PairAnswer is the input to Algorithm 2: the answer F of the 2-D range

@@ -8,54 +8,36 @@ import (
 	"privmdr/internal/query"
 )
 
-// gridCellsFromDist builds exact CellConstraints at granularity g (plus two
-// 1-D granularity-g1 views) from a true c×c distribution, mimicking what HDG
-// feeds Algorithm 1 with noiseless inputs.
-func gridCellsFromDist(dist []float64, c, g1, g2 int) []CellConstraint {
-	var cells []CellConstraint
-	w1 := c / g1
-	// 1-D rows.
-	for i := 0; i < g1; i++ {
-		f := 0.0
-		for r := i * w1; r < (i+1)*w1; r++ {
-			for col := 0; col < c; col++ {
-				f += dist[r*c+col]
-			}
-		}
-		cells = append(cells, CellConstraint{R0: i * w1, R1: (i+1)*w1 - 1, C0: 0, C1: c - 1, Freq: f})
-	}
-	// 1-D cols.
-	for i := 0; i < g1; i++ {
-		f := 0.0
-		for col := i * w1; col < (i+1)*w1; col++ {
-			for r := 0; r < c; r++ {
-				f += dist[r*c+col]
-			}
-		}
-		cells = append(cells, CellConstraint{R0: 0, R1: c - 1, C0: i * w1, C1: (i+1)*w1 - 1, Freq: f})
-	}
-	// 2-D cells.
-	w2 := c / g2
-	for ri := 0; ri < g2; ri++ {
-		for ci := 0; ci < g2; ci++ {
-			f := 0.0
-			for r := ri * w2; r < (ri+1)*w2; r++ {
-				for col := ci * w2; col < (ci+1)*w2; col++ {
-					f += dist[r*c+col]
-				}
-			}
-			cells = append(cells, CellConstraint{
-				R0: ri * w2, R1: (ri+1)*w2 - 1,
-				C0: ci * w2, C1: (ci+1)*w2 - 1,
-				Freq: f,
-			})
+// gridsFromDist sums a true c×c distribution into the three grids HDG
+// feeds Algorithm 1, here noiseless: the first attribute's g1 cells, the
+// second's, and the g2×g2 2-D cells, row-major.
+func gridsFromDist(dist []float64, c, g1, g2 int) (rows, cols, cells []float64) {
+	rows, cols, cells = make([]float64, g1), make([]float64, g1), make([]float64, g2*g2)
+	w1, w2 := c/g1, c/g2
+	for r := 0; r < c; r++ {
+		for col := 0; col < c; col++ {
+			f := dist[r*c+col]
+			rows[r/w1] += f
+			cols[col/w1] += f
+			cells[(r/w2)*g2+col/w2] += f
 		}
 	}
-	return cells
+	return rows, cols, cells
+}
+
+// rectMass sums the inclusive rectangle [r0, r1]×[c0, c1] of an n×n matrix.
+func rectMass(m []float64, n, r0, r1, c0, c1 int) float64 {
+	y := 0.0
+	for r := r0; r <= r1; r++ {
+		for col := c0; col <= c1; col++ {
+			y += m[r*n+col]
+		}
+	}
+	return y
 }
 
 func TestBuildResponseMatrixMatchesConstraints(t *testing.T) {
-	c := 16
+	c, g1, g2 := 16, 8, 4
 	rng := ldprand.New(1)
 	dist := make([]float64, c*c)
 	sum := 0.0
@@ -66,32 +48,39 @@ func TestBuildResponseMatrixMatchesConstraints(t *testing.T) {
 	for i := range dist {
 		dist[i] /= sum
 	}
-	cells := gridCellsFromDist(dist, c, 8, 4)
-	m, trace, err := BuildResponseMatrix(c, cells, Options{MaxIters: 200, Tol: 1e-10})
+	rows, cols, cells := gridsFromDist(dist, c, g1, g2)
+	m, trace, err := BuildResponseMatrix(rows, cols, cells, Options{MaxIters: 200, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(trace) == 0 {
 		t.Fatal("no convergence trace")
 	}
-	// At convergence every constraint's rectangle mass matches its Freq.
-	for ci, s := range cells {
-		got := 0.0
-		for r := s.R0; r <= s.R1; r++ {
-			for col := s.C0; col <= s.C1; col++ {
-				got += m[r*c+col]
-			}
+	// The matrix is on the g×g atom grid, g = max(g1, g2). At convergence
+	// every constraint's rectangle of atoms holds its frequency.
+	g := max(g1, g2)
+	if len(m) != g*g {
+		t.Fatalf("matrix has %d entries, want %d", len(m), g*g)
+	}
+	k1, k2 := g/g1, g/g2
+	check := func(what string, i int, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-6 {
+			t.Errorf("%s %d: rectangle mass %g, want %g", what, i, got, want)
 		}
-		if math.Abs(got-s.Freq) > 1e-6 {
-			t.Errorf("constraint %d: rectangle mass %g, want %g", ci, got, s.Freq)
-		}
+	}
+	for i, f := range rows {
+		check("row", i, rectMass(m, g, i*k1, (i+1)*k1-1, 0, g-1), f)
+	}
+	for i, f := range cols {
+		check("column", i, rectMass(m, g, 0, g-1, i*k1, (i+1)*k1-1), f)
+	}
+	for i, f := range cells {
+		r, col := i/g2, i%g2
+		check("cell", i, rectMass(m, g, r*k2, (r+1)*k2-1, col*k2, (col+1)*k2-1), f)
 	}
 	// Total mass 1 (the 2-D cells partition the domain).
-	total := 0.0
-	for _, v := range m {
-		total += v
-	}
-	if math.Abs(total-1) > 1e-6 {
+	if total := rectMass(m, g, 0, g-1, 0, g-1); math.Abs(total-1) > 1e-6 {
 		t.Errorf("matrix mass %g, want 1", total)
 	}
 }
@@ -109,8 +98,8 @@ func TestBuildResponseMatrixTraceDecays(t *testing.T) {
 			dist[i] = 0
 		}
 	}
-	cells := gridCellsFromDist(dist, c, 4, 2)
-	_, trace, err := BuildResponseMatrix(c, cells, Options{MaxIters: 60, Tol: 1e-12})
+	rows, cols, cells := gridsFromDist(dist, c, 4, 2)
+	_, trace, err := BuildResponseMatrix(rows, cols, cells, Options{MaxIters: 60, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +117,13 @@ func TestBuildResponseMatrixTraceDecays(t *testing.T) {
 }
 
 func TestBuildResponseMatrixRespectsMaxIters(t *testing.T) {
-	c := 8
-	// Inconsistent constraints never converge; the loop must stop at
-	// MaxIters.
-	cells := []CellConstraint{
-		{R0: 0, R1: 3, C0: 0, C1: 7, Freq: 0.9},
-		{R0: 0, R1: 3, C0: 0, C1: 7, Freq: 0.1},
-	}
-	_, trace, err := BuildResponseMatrix(c, cells, Options{MaxIters: 7, Tol: 1e-300})
+	// Inconsistent constraints never converge: the rows hold 0.9 in all,
+	// the columns and cells 1, so every sweep moves mass. The loop must stop
+	// at MaxIters.
+	rows := []float64{0.6, 0.3}
+	cols := []float64{0.5, 0.5}
+	cells := []float64{0.25, 0.25, 0.25, 0.25}
+	_, trace, err := BuildResponseMatrix(rows, cols, cells, Options{MaxIters: 7, Tol: 1e-300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +132,44 @@ func TestBuildResponseMatrixRespectsMaxIters(t *testing.T) {
 	}
 }
 
+func TestBuildResponseMatrixStaysFinite(t *testing.T) {
+	// Raw grids of an IHDG fit (d = 6, c = 16, ε = 0.2) whose first row of
+	// cells nearly cancels: each sweep multiplies that band's factor by
+	// ~10¹⁴ and its cells' factors by the inverse, while the matrix itself
+	// stays put. The factors must not overflow. With g₁ = g₂ every atom is
+	// a cell, which the sweep's last constraints set to its frequency.
+	rows := []float64{0.73774346560691, -0.021078384731625936}
+	cols := []float64{0.10539192365812967, 0.6112731572171544}
+	cells := []float64{-0.05264066701077609, 0.0526406670107772, -0.07369693381508696, 0.9159476059875099}
+	m, trace, err := BuildResponseMatrix(rows, cols, cells, Options{MaxIters: 100, Tol: 5e-5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace) != 100 || math.IsInf(trace[99], 0) || math.IsNaN(trace[99]) {
+		t.Errorf("%d sweeps, last change %g: want 100 finite sweeps", len(trace), trace[len(trace)-1])
+	}
+	for i, f := range cells {
+		if math.Abs(m[i]-f) > 1e-12 {
+			t.Errorf("atom %d is %v, want its cell's %v", i, m[i], f)
+		}
+	}
+}
+
 func TestBuildResponseMatrixDomainError(t *testing.T) {
-	if _, _, err := BuildResponseMatrix(0, nil, Options{}); err == nil {
-		t.Error("domain 0 should fail")
+	quarter := []float64{0.25, 0.25, 0.25, 0.25}
+	for _, tc := range []struct {
+		name              string
+		rows, cols, cells []float64
+	}{
+		{"empty domain", nil, nil, nil},
+		{"no 2-D cells", []float64{1}, []float64{1}, nil},
+		{"1-D grids of different sizes", []float64{0.5, 0.5}, []float64{1}, quarter},
+		{"2-D grid not square", []float64{0.5, 0.5}, []float64{0.5, 0.5}, quarter[:3]},
+		{"granularity not a power of two", []float64{0.3, 0.3, 0.4}, []float64{0.3, 0.3, 0.4}, quarter},
+	} {
+		if _, _, err := BuildResponseMatrix(tc.rows, tc.cols, tc.cells, Options{}); err == nil {
+			t.Errorf("%s should fail", tc.name)
+		}
 	}
 }
 
