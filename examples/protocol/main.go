@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
 	"privmdr"
@@ -135,14 +136,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	identical := true
-	for i := range queries {
-		if protoAns[i] != fitAns[i] {
-			identical = false
-			break
-		}
-	}
+	identical := slices.Equal(protoAns, fitAns)
 	truth := privmdr.TrueAnswers(ds, queries)
 	fmt.Printf("deployment answers identical to Fit: %v\n", identical)
 	fmt.Printf("2-D workload MAE over %d queries: %.5f\n", len(queries), privmdr.MAE(protoAns, truth))
+	if !identical {
+		log.Fatal("deployment answers differ from Fit")
+	}
 }

@@ -283,20 +283,20 @@ func TestLHIOOneDimensional(t *testing.T) {
 	}
 }
 
-// TestLHIOAnswerZeroAlloc pins the λ ≤ 2 answers of the four mechanisms
-// that answer through mwem.Answer (TDG, HDG, CALM, LHIO), and of HIO, at
-// zero heap allocations, with a two-predicate query in attribute order or
-// reversed, and requires the two orders to answer bit-identically. LHIO
-// decomposes both axes into arrays on pair2D's stack and HIO every
-// attribute into one array on Answer's; HDG is warmed first, since its
-// response matrices build lazily. At d = 3, c = 64 these queries reach only
-// HIO's streamed groups; a retained group's first memo fill may allocate.
-// λ ≥ 3 runs Algorithm 2, whose own allocations stay.
-func TestLHIOAnswerZeroAlloc(t *testing.T) {
+// TestAnswerZeroAlloc pins the λ ≤ 2 answers of all seven mechanisms at
+// zero heap allocations: the four that answer through mwem.Answer (TDG,
+// HDG, CALM, LHIO), HIO, Uni and MSW. A two-predicate query runs in
+// attribute order and reversed, and the two orders must answer
+// bit-identically. LHIO decomposes both axes into arrays on pair2D's stack
+// and HIO every attribute into one array on Answer's; HDG is warmed first,
+// since its response matrices build lazily. At d = 3, c = 64 these queries
+// reach only HIO's streamed groups; a retained group's first memo fill may
+// allocate. λ ≥ 3 runs Algorithm 2, whose own allocations stay.
+func TestAnswerZeroAlloc(t *testing.T) {
 	ds := correlatedDS(t, 20000, 3, 64)
 	inOrder := query.Query{{Attr: 0, Lo: 7, Hi: 40}, {Attr: 2, Lo: 1, Hi: 62}}
 	reversed := query.Query{inOrder[1], inOrder[0]}
-	for _, m := range []mech.Mechanism{core.NewTDG(core.Options{}), core.NewHDG(core.Options{}), NewCALM(), NewLHIO(), NewHIO()} {
+	for _, m := range []mech.Mechanism{core.NewTDG(core.Options{}), core.NewHDG(core.Options{}), NewCALM(), NewLHIO(), NewHIO(), NewUni(), NewMSW()} {
 		est, err := m.Fit(ds, 1.0, ldprand.New(22))
 		if err != nil {
 			t.Fatal(err)

@@ -19,8 +19,9 @@ import (
 // finds the two almost equally accurate, weighted update converging faster).
 //
 // TDG (Section 4.1) is CALM with its c×c marginals binned into g₂×g₂ grids,
-// so CALM runs on TDG's pair-grid protocol at g₂ = c: no cell is ever cut,
-// and the uniformity rule reduces to summing whole cells.
+// so CALM runs the grid protocol TDG and HDG share, without HDG's 1-D
+// groups, at g₂ = c: no cell is ever cut, and the uniformity rule reduces
+// to summing whole cells.
 //
 // CALM overcomes the correlation and dimensionality challenges but not the
 // large-domain one: summing Θ((ωc)²) noisy cells makes its error grow with c,
@@ -38,9 +39,9 @@ func (m *CALM) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estim
 	return mech.FitViaProtocol(m, ds, eps, rng)
 }
 
-// Protocol implements mech.Mechanism: TDG's pair-grid protocol at g₂ = c,
-// with TDG's default post-processing and the oracle NewAuto picks for the
-// c² domain (GRR, OLH or Hadamard response).
+// Protocol implements mech.Mechanism: the grid protocol without 1-D groups
+// at g₂ = c, with TDG's default post-processing and the oracle NewAuto
+// picks for the c² domain (GRR, OLH or Hadamard response).
 func (m *CALM) Protocol(p mech.Params) (mech.Protocol, error) {
 	if err := p.Validate(2); err != nil {
 		return nil, err

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"privmdr/internal/consistency"
 	"privmdr/internal/fo"
 	"privmdr/internal/grid"
 	"privmdr/internal/mathx"
 	"privmdr/internal/mech"
 )
 
-// This file implements HDG's side of the protocol API: Fit simulates both
-// sides in one call, but a real rollout separates them —
+// This file implements the grid protocol TDG, HDG and CALM share: Fit
+// simulates both sides in one call, but a real rollout separates them —
 //
 //	aggregator                          client i
 //	----------                          --------
@@ -22,181 +23,154 @@ import (
 //	est, _ := coll.Finalize()
 //
 // Both sides build the identical protocol from the public Params; the only
-// user-derived message is the ε-LDP Report from ClientReport.
+// user-derived message is the ε-LDP Report from ClientReport. HDG is TDG
+// plus one finer 1-D grid per attribute, so the mechanisms differ only in
+// their granularities, their oracle and whether the 1-D groups exist.
 
-// hdgProtocol is the deployment-shaped face of HDG: d fine-grained 1-D
-// grids plus (d choose 2) coarse 2-D grids, one user group each.
-type hdgProtocol struct {
+// gridProtocol is the deployment-shaped face of the grid mechanisms: m₁
+// fine-grained 1-D grids, one per attribute, followed by one coarse g₂×g₂
+// grid per attribute pair, one user group each. HDG and IHDG have m₁ = d;
+// TDG, ITDG and CALM have no 1-D grids.
+type gridProtocol struct {
 	mechName string
 	p        mech.Params
 	opts     Options
+	m1       int // 1-D groups: d, or 0 without 1-D grids
 	g1, g2   int
-	n1       int // users assigned to 1-D grids
 	pairs    [][2]int
 	as       *mech.Assigner
-	o1, o2   *fo.OLH // shared oracles: domain g1 (1-D) and g2² (2-D)
+	o1       *fo.OLH   // shared 1-D oracle, domain g1; nil when m1 = 0
+	o2       fo.Oracle // shared 2-D oracle, domain g2²
 }
 
-// Protocol implements mech.Mechanism for HDG.
-func (h *HDG) Protocol(p mech.Params) (mech.Protocol, error) {
-	return newHDGProtocol(h.Name(), p, h.opts)
-}
-
-// newHDGProtocol resolves the public parameters exactly the way Fit always
-// did: guideline granularities from the per-group populations of the
-// σ-split, with option overrides layered on top.
-func newHDGProtocol(name string, p mech.Params, opts Options) (*hdgProtocol, error) {
+// validateGridParams checks the params TDG and HDG accept: at least two
+// attributes and a power-of-two domain.
+func validateGridParams(p mech.Params) error {
 	if err := p.Validate(2); err != nil {
-		return nil, err
+		return err
 	}
 	if !mathx.IsPow2(p.C) {
-		return nil, fmt.Errorf("core: domain size %d must be a power of two", p.C)
+		return fmt.Errorf("core: domain size %d must be a power of two", p.C)
 	}
-	opts = opts.withDefaults()
-	n, d, c := p.N, p.D, p.C
-	m1, m2 := HDGGroups(d)
+	return nil
+}
 
-	sigma := opts.Sigma
-	if sigma <= 0 {
-		sigma = float64(m1) / float64(m1+m2)
+// newGridProtocol builds the grid protocol over validated params. With
+// n1 > 0, the first n1 positions of the assignment permutation feed d 1-D
+// groups, cut evenly, each reporting its g₁-cell through OLH; otherwise
+// there are no 1-D groups. The remaining positions are cut evenly over the
+// pair groups, each reporting its g₂×g₂ cell through o2, whose domain must
+// be g₂² (nil selects OLH). At n1 = 0 the cut is mech.EvenBounds(n, pairs).
+func newGridProtocol(name string, p mech.Params, opts Options, n1, g1, g2 int, o2 fo.Oracle) (*gridProtocol, error) {
+	if g2 < 2 || p.C%g2 != 0 {
+		return nil, fmt.Errorf("core: granularity g2=%d must be at least 2 and divide domain %d", g2, p.C)
 	}
-	if sigma >= 1 {
-		return nil, fmt.Errorf("core: sigma %g must be in (0,1)", sigma)
-	}
-	n1 := int(sigma * float64(n))
-	if n1 < m1 {
-		n1 = m1
-	}
-	if n-n1 < m2 {
-		return nil, fmt.Errorf("core: %d users cannot populate %d 2-D groups with sigma=%g", n, m2, sigma)
-	}
-
-	g1, g2 := opts.G1, opts.G2
-	if g1 == 0 || g2 == 0 {
-		gg1, _ := Granularities(p.Eps, float64(n1)/float64(m1), c, opts.Alpha1, opts.Alpha2)
-		_, gg2 := Granularities(p.Eps, float64(n-n1)/float64(m2), c, opts.Alpha1, opts.Alpha2)
-		if g1 == 0 {
-			g1 = gg1
+	pr := &gridProtocol{mechName: name, p: p, opts: opts.withDefaults(), g1: g1, g2: g2, pairs: mech.AllPairs(p.D), o2: o2}
+	var err error
+	if n1 > 0 {
+		if p.C%g1 != 0 || g1%g2 != 0 {
+			return nil, fmt.Errorf("core: granularities (g1=%d, g2=%d) must divide domain %d and each other", g1, g2, p.C)
 		}
-		if g2 == 0 {
-			g2 = gg2
+		pr.m1 = p.D
+		if pr.o1, err = fo.NewOLH(p.Eps, g1); err != nil {
+			return nil, err
 		}
 	}
-	if g1 < g2 {
-		g1 = g2
+	if pr.o2 == nil {
+		if pr.o2, err = fo.NewOLH(p.Eps, g2*g2); err != nil {
+			return nil, err
+		}
 	}
-	if c%g1 != 0 || c%g2 != 0 || g1%g2 != 0 {
-		return nil, fmt.Errorf("core: granularities (g1=%d, g2=%d) must divide domain %d and each other", g1, g2, c)
-	}
-
-	// Permutation positions [0, n1) feed the m1 1-D grids, the rest the m2
-	// 2-D grids, each side cut evenly.
-	bounds := make([]int, 0, m1+m2+1)
-	for g := 0; g <= m1; g++ {
-		bounds = append(bounds, g*n1/m1)
+	m2 := len(pr.pairs)
+	bounds := make([]int, 1, pr.m1+m2+1)
+	for g := 1; g <= pr.m1; g++ {
+		bounds = append(bounds, g*n1/pr.m1)
 	}
 	for g := 1; g <= m2; g++ {
-		bounds = append(bounds, n1+g*(n-n1)/m2)
+		bounds = append(bounds, n1+g*(p.N-n1)/m2)
 	}
-	as, err := mech.NewAssigner(p.Seed, bounds)
-	if err != nil {
+	if pr.as, err = mech.NewAssigner(p.Seed, bounds); err != nil {
 		return nil, err
 	}
-	o1, err := fo.NewOLH(p.Eps, g1)
-	if err != nil {
-		return nil, err
-	}
-	o2, err := fo.NewOLH(p.Eps, g2*g2)
-	if err != nil {
-		return nil, err
-	}
-	return &hdgProtocol{
-		mechName: name,
-		p:        p, opts: opts,
-		g1: g1, g2: g2, n1: n1,
-		pairs: mech.AllPairs(d),
-		as:    as, o1: o1, o2: o2,
-	}, nil
+	return pr, nil
 }
 
 // Name implements mech.Protocol.
-func (pr *hdgProtocol) Name() string { return pr.mechName }
+func (pr *gridProtocol) Name() string { return pr.mechName }
 
 // Params implements mech.Protocol.
-func (pr *hdgProtocol) Params() mech.Params { return pr.p }
+func (pr *gridProtocol) Params() mech.Params { return pr.p }
 
 // NumGroups implements mech.Protocol.
-func (pr *hdgProtocol) NumGroups() int { return pr.as.NumGroups() }
+func (pr *gridProtocol) NumGroups() int { return pr.as.NumGroups() }
 
 // Granularities returns the resolved grid granularities (g₁, g₂).
-func (pr *hdgProtocol) Granularities() (g1, g2 int) { return pr.g1, pr.g2 }
+func (pr *gridProtocol) Granularities() (g1, g2 int) { return pr.g1, pr.g2 }
 
 // Assignment implements mech.Protocol.
-func (pr *hdgProtocol) Assignment(user int) (mech.Assignment, error) {
+func (pr *gridProtocol) Assignment(user int) (mech.Assignment, error) {
 	g, err := pr.as.GroupOf(user)
 	if err != nil {
 		return mech.Assignment{}, err
 	}
-	return pr.groupAssignment(g), nil
-}
-
-func (pr *hdgProtocol) groupAssignment(g int) mech.Assignment {
-	if g < pr.p.D {
-		return mech.Assignment{Group: g, Attr1: g, Attr2: -1, Domain: pr.g1}
+	if g < pr.m1 {
+		return mech.Assignment{Group: g, Attr1: g, Attr2: -1, Domain: pr.g1}, nil
 	}
-	pair := pr.pairs[g-pr.p.D]
-	return mech.Assignment{Group: g, Attr1: pair[0], Attr2: pair[1], Domain: pr.g2 * pr.g2}
+	pair := pr.pairs[g-pr.m1]
+	return mech.Assignment{Group: g, Attr1: pair[0], Attr2: pair[1], Domain: pr.g2 * pr.g2}, nil
 }
 
 // ClientReport implements mech.Protocol: encode the record's value (or
-// value pair) as a grid cell and perturb it through OLH.
-func (pr *hdgProtocol) ClientReport(a mech.Assignment, record []int, rng *rand.Rand) (mech.Report, error) {
+// value pair) as a grid cell and perturb it through the group's oracle.
+// The assignment's Group is authoritative.
+func (pr *gridProtocol) ClientReport(a mech.Assignment, record []int, rng *rand.Rand) (mech.Report, error) {
 	if a.Group < 0 || a.Group >= pr.NumGroups() {
 		return mech.Report{}, fmt.Errorf("core: assignment group %d outside [0,%d)", a.Group, pr.NumGroups())
 	}
 	if err := mech.CheckRecord(pr.p, record); err != nil {
 		return mech.Report{}, err
 	}
-	a = pr.groupAssignment(a.Group) // Group is authoritative
-	var cell int
-	oracle := pr.o1
-	if a.Attr2 < 0 {
-		cell = record[a.Attr1] / (pr.p.C / pr.g1)
-	} else {
-		w := pr.p.C / pr.g2
-		cell = (record[a.Attr1]/w)*pr.g2 + record[a.Attr2]/w
-		oracle = pr.o2
+	if a.Group < pr.m1 {
+		cell := record[a.Group] / (pr.p.C / pr.g1)
+		return mech.FromFO(a.Group, pr.o1.Perturb(cell, rng)), nil
 	}
-	return mech.FromFO(a.Group, oracle.Perturb(cell, rng)), nil
+	pair := pr.pairs[a.Group-pr.m1]
+	w := pr.p.C / pr.g2
+	cell := (record[pair[0]]/w)*pr.g2 + record[pair[1]]/w
+	return mech.FromFO(a.Group, pr.o2.Perturb(cell, rng)), nil
 }
 
 // NewCollector implements mech.Protocol. The collector streams: each report
-// folds into its group's OLH support vector on arrival (see mech.CountIngest),
+// folds into its group's oracle statistic on arrival (see mech.CountIngest),
 // so memory stays O(groups × granularity) and Finalize reads count vectors
 // instead of rescanning O(n) reports.
-func (pr *hdgProtocol) NewCollector() (mech.Collector, error) {
-	check := func(r mech.Report) error {
-		if r.Group < pr.p.D {
-			return pr.o1.CheckReport(r.FO())
+func (pr *gridProtocol) NewCollector() (mech.Collector, error) {
+	var f1 *fo.Folder
+	var spec1 mech.GroupSpec
+	var err error
+	if pr.m1 > 0 {
+		if f1, err = fo.NewFolder(pr.o1); err != nil {
+			return nil, err
 		}
-		return pr.o2.CheckReport(r.FO())
-	}
-	f1, err := fo.NewFolder(pr.o1)
-	if err != nil {
-		return nil, err
+		spec1 = mech.FolderSpec(f1)
 	}
 	f2, err := fo.NewFolder(pr.o2)
 	if err != nil {
 		return nil, err
 	}
-	spec1, spec2 := mech.FolderSpec(f1), mech.FolderSpec(f2)
+	spec2 := mech.FolderSpec(f2)
 	specs := make([]mech.GroupSpec, pr.NumGroups())
 	for g := range specs {
-		if g < pr.p.D {
+		specs[g] = spec2
+		if g < pr.m1 {
 			specs[g] = spec1
-		} else {
-			specs[g] = spec2
 		}
+	}
+	check := func(r mech.Report) error {
+		if r.Group < pr.m1 {
+			return pr.o1.CheckReport(r.FO())
+		}
+		return pr.o2.CheckReport(r.FO())
 	}
 	return mech.NewCountCollector(pr, check, specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
 		return pr.estimate(f1, f2, byGroup)
@@ -205,30 +179,33 @@ func (pr *hdgProtocol) NewCollector() (mech.Collector, error) {
 
 // estimate turns one snapshot of per-group statistics into the query-time
 // estimator: estimate every grid from its group's folded statistic (f1 for
-// the 1-D groups, f2 for the 2-D ones), post-process, and wrap. The
-// estimates are bit-identical to the former report-multiset path
-// (EstimateAll over the group's reports) because the folded counts are the
-// exact integers that scan would tally — and because the whole pipeline is
-// a pure function of the counts, an Estimate over a report prefix matches a
-// one-shot Finalize over the same prefix bit for bit.
-func (pr *hdgProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
-	d, cc := pr.p.D, pr.p.C
-	grids1 := make([]*grid.Grid1D, d)
-	for a := 0; a < d; a++ {
-		g, err := grid.NewGrid1D(cc, pr.g1)
+// the 1-D groups, f2 for the pair groups), post-process, and wrap — in
+// tdgEstimator's uniformity rule without 1-D grids, in hdgEstimator's
+// Algorithm 1 with them. The estimates are bit-identical to the former
+// report-multiset path (EstimateAll over the group's reports) because the
+// folded counts are the exact integers that scan would tally — and because
+// the whole pipeline is a pure function of the counts, an Estimate over a
+// report prefix matches a one-shot Finalize over the same prefix bit for
+// bit.
+func (pr *gridProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
+	d, c := pr.p.D, pr.p.C
+	var grids1 []*grid.Grid1D
+	for a := 0; a < pr.m1; a++ {
+		g, err := grid.NewGrid1D(c, pr.g1)
 		if err != nil {
 			return nil, err
 		}
 		copy(g.Freq, f1.Estimate(byGroup[a].Counts, int(byGroup[a].N)))
-		grids1[a] = g
+		grids1 = append(grids1, g)
 	}
 	grids2 := make([]*grid.Grid2D, len(pr.pairs))
 	for pi := range pr.pairs {
-		g, err := grid.NewGrid2D(cc, pr.g2)
+		g, err := grid.NewGrid2D(c, pr.g2)
 		if err != nil {
 			return nil, err
 		}
-		copy(g.Freq, f2.Estimate(byGroup[d+pi].Counts, int(byGroup[d+pi].N)))
+		gc := byGroup[pr.m1+pi]
+		copy(g.Freq, f2.Estimate(gc.Counts, int(gc.N)))
 		grids2[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {
@@ -238,7 +215,48 @@ func (pr *hdgProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) (
 	}
 	wu := pr.opts.WU
 	if wu.Tol <= 0 {
-		wu.Tol = 1 / float64(max(pr.p.N, 1))
+		wu.Tol = 1 / float64(pr.p.N)
 	}
-	return newHDGEstimator(cc, d, pr.g1, pr.g2, grids1, grids2, wu, pr.opts.CollectTraces), nil
+	if pr.m1 == 0 {
+		for _, g := range grids2 {
+			g.Seal()
+		}
+		return &tdgEstimator{c: c, d: d, grids: grids2, wu: wu, traces: pr.opts.CollectTraces}, nil
+	}
+	return newHDGEstimator(c, d, pr.g1, pr.g2, grids1, grids2, wu, pr.opts.CollectTraces), nil
+}
+
+// postProcessHybrid runs Phase 2 over the grid protocol's grids: each
+// attribute's views are its 1-D grid (|S| = g₁/g₂ cells per coarse bucket),
+// when grids1 is non-nil, and its d−1 2-D footprints (|S| = g₂ each).
+func postProcessHybrid(d int, grids1 []*grid.Grid1D, grids2 []*grid.Grid2D, rounds int) error {
+	pairs := mech.AllPairs(d)
+	pipeline := &consistency.Pipeline{
+		Attrs: d,
+		NormSubAll: func() {
+			for _, g := range grids1 {
+				consistency.NormSub(g.Freq, 1)
+			}
+			for _, g := range grids2 {
+				consistency.NormSub(g.Freq, 1)
+			}
+		},
+		AttrViews: func(a int) []consistency.View {
+			var views []consistency.View
+			if grids1 != nil {
+				views = append(views, consistency.Grid1DView(grids1[a], grids2[0].G))
+			}
+			for pi, pair := range pairs {
+				g := grids2[pi]
+				switch a {
+				case pair[0]:
+					views = append(views, consistency.GridRowView(g))
+				case pair[1]:
+					views = append(views, consistency.GridColView(g))
+				}
+			}
+			return views
+		},
+	}
+	return pipeline.Run(rounds)
 }

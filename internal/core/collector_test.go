@@ -15,7 +15,7 @@ func TestHDGProtocolResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, g2 := pr.(*hdgProtocol).Granularities()
+	g1, g2 := pr.(*gridProtocol).Granularities()
 	if g1 != 16 || g2 != 4 {
 		t.Errorf("resolved granularities (%d,%d), Table 2 says (16,4)", g1, g2)
 	}
@@ -37,6 +37,29 @@ func TestHDGProtocolResolution(t *testing.T) {
 	// Non-divisor granularity override.
 	if _, err := NewHDG(Options{G1: 12}).Protocol(mech.Params{N: 100, D: 3, C: 64, Eps: 1}); err == nil {
 		t.Error("non-power granularity override accepted")
+	}
+}
+
+// TestGridProtocolRejectsBadG2 vets a g₂ override when the protocol is
+// built. Go's 64 % -4 is 0, so a divisibility check alone passes g₂ = -4,
+// and clients would then compute negative cells that the aggregator rejects
+// only at Finalize.
+func TestGridProtocolRejectsBadG2(t *testing.T) {
+	p := mech.Params{N: 1000, D: 3, C: 64, Eps: 1}
+	cases := []struct {
+		name string
+		m    mech.Mechanism
+	}{
+		{"HDG g2=-4", NewHDG(Options{G1: 16, G2: -4})},
+		{"TDG g2=-4", NewTDG(Options{G2: -4})},
+		{"HDG g2=1", NewHDG(Options{G1: 16, G2: 1})},
+		{"TDG g2=1", NewTDG(Options{G2: 1})},
+		{"TDG g2=12", NewTDG(Options{G2: 12})},
+	}
+	for _, tc := range cases {
+		if _, err := tc.m.Protocol(p); err == nil {
+			t.Errorf("%s: protocol built", tc.name)
+		}
 	}
 }
 

@@ -378,7 +378,7 @@ func TestTDGGranularityReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g2 := est.Granularity()
+	g2 := est.grids[0].G
 	want, _ := TDGGranularity(1.0, 20000, 3, 64, 0)
 	if g2 != want {
 		t.Errorf("reported g2 %d, want %d", g2, want)

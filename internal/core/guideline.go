@@ -2,6 +2,12 @@
 // Two-Dimensional Grids (TDG) and Hybrid-Dimensional Grids (HDG) mechanisms
 // of Section 4, together with the granularity-selection guideline of
 // Section 4.6 that makes them "consistently effective".
+//
+// Both run one grid protocol (collector.go): one fine 1-D group per
+// attribute, then one coarse g₂×g₂ group per attribute pair. TDG has no
+// 1-D groups, and neither has CALM (internal/baselines), which runs the
+// protocol at g₂ = c. The aggregator answers without 1-D grids by TDG's
+// uniformity rule and with them by HDG's Algorithm 1.
 package core
 
 import (

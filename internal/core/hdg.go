@@ -1,10 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sync"
 
-	"privmdr/internal/consistency"
 	"privmdr/internal/dataset"
 	"privmdr/internal/grid"
 	"privmdr/internal/mech"
@@ -97,39 +97,42 @@ func (h *HDG) Fit(ds *dataset.Dataset, eps float64, rng *rand.Rand) (mech.Estima
 	return mech.FitViaProtocol(h, ds, eps, rng)
 }
 
-// postProcessHybrid runs Phase 2 for HDG: each attribute's views are its 1-D
-// grid (|S| = g₁/g₂ cells per coarse bucket), when grids1 is non-nil, and
-// its d−1 2-D footprints (|S| = g₂ each).
-func postProcessHybrid(d int, grids1 []*grid.Grid1D, grids2 []*grid.Grid2D, rounds int) error {
-	pairs := mech.AllPairs(d)
-	pipeline := &consistency.Pipeline{
-		Attrs: d,
-		NormSubAll: func() {
-			for _, g := range grids1 {
-				consistency.NormSub(g.Freq, 1)
-			}
-			for _, g := range grids2 {
-				consistency.NormSub(g.Freq, 1)
-			}
-		},
-		AttrViews: func(a int) []consistency.View {
-			var views []consistency.View
-			if grids1 != nil {
-				views = append(views, consistency.Grid1DView(grids1[a], grids2[0].G))
-			}
-			for pi, pair := range pairs {
-				g := grids2[pi]
-				switch a {
-				case pair[0]:
-					views = append(views, consistency.GridRowView(g))
-				case pair[1]:
-					views = append(views, consistency.GridColView(g))
-				}
-			}
-			return views
-		},
+// Protocol implements mech.Mechanism for HDG: the grid protocol with one
+// 1-D grid per attribute. The σ-split sends a share σ of the users to the
+// 1-D groups (by default d/(d + (d choose 2)), every group the same size),
+// and the guideline picks g₁ and g₂ from the per-group populations of that
+// split, with option overrides layered on top.
+func (h *HDG) Protocol(p mech.Params) (mech.Protocol, error) {
+	if err := validateGridParams(p); err != nil {
+		return nil, err
 	}
-	return pipeline.Run(rounds)
+	opts := h.opts
+	n, c := p.N, p.C
+	m1, m2 := HDGGroups(p.D)
+	sigma := opts.Sigma
+	if sigma <= 0 {
+		sigma = float64(m1) / float64(m1+m2)
+	}
+	if sigma >= 1 {
+		return nil, fmt.Errorf("core: sigma %g must be in (0,1)", sigma)
+	}
+	n1 := max(int(sigma*float64(n)), m1)
+	if n-n1 < m2 {
+		return nil, fmt.Errorf("core: %d users cannot populate %d 2-D groups with sigma=%g", n, m2, sigma)
+	}
+
+	g1, g2 := opts.G1, opts.G2
+	if g1 == 0 || g2 == 0 {
+		gg1, _ := Granularities(p.Eps, float64(n1)/float64(m1), c, opts.Alpha1, opts.Alpha2)
+		_, gg2 := Granularities(p.Eps, float64(n-n1)/float64(m2), c, opts.Alpha1, opts.Alpha2)
+		if g1 == 0 {
+			g1 = gg1
+		}
+		if g2 == 0 {
+			g2 = gg2
+		}
+	}
+	return newGridProtocol(h.Name(), p, opts, n1, max(g1, g2), g2, nil)
 }
 
 // responseMatrix returns the pair's sealed atom-grid response matrix,
@@ -156,12 +159,7 @@ func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
 		e.Alg1Traces = append(e.Alg1Traces, trace)
 		e.mu.Unlock()
 	}
-	atoms, err := grid.NewGrid2D(e.c, max(e.G1, e.G2))
-	if err != nil {
-		e.matErr[pi] = err
-		return
-	}
-	atoms.Freq = m
+	atoms := &grid.Grid2D{C: e.c, G: max(e.G1, e.G2), Freq: m}
 	atoms.Seal()
 	e.atoms[pi] = atoms
 }
@@ -236,6 +234,3 @@ func (e *hdgEstimator) Answer(q query.Query) (float64, error) {
 func (e *hdgEstimator) AnswerBatch(qs []query.Query) ([]float64, error) {
 	return mech.AnswerQueries(e, qs)
 }
-
-// Granularity returns the granularities the fit used.
-func (e *hdgEstimator) Granularity() (g1, g2 int) { return e.G1, e.G2 }

@@ -78,7 +78,7 @@ func assertSameAnswers(t *testing.T, got, want mech.Estimator, qs []query.Query)
 
 // seedFinalizeHDG is the seed's hdgCollector.Finalize over explicit report
 // multisets, preserved verbatim as the golden reference.
-func seedFinalizeHDG(t *testing.T, pr *hdgProtocol, byGroup [][]mech.Report) mech.Estimator {
+func seedFinalizeHDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
 	d, cc := pr.p.D, pr.p.C
 	grids1 := make([]*grid.Grid1D, d)
@@ -113,7 +113,7 @@ func seedFinalizeHDG(t *testing.T, pr *hdgProtocol, byGroup [][]mech.Report) mec
 
 // seedFinalizeTDG is the seed's tdgCollector.Finalize preserved verbatim,
 // answering through the seed's answer rule.
-func seedFinalizeTDG(t *testing.T, pr *tdgProtocol, byGroup [][]mech.Report) mech.Estimator {
+func seedFinalizeTDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
 	grids := make([]*grid.Grid2D, len(pr.pairs))
 	for pi := range pr.pairs {
@@ -125,7 +125,7 @@ func seedFinalizeTDG(t *testing.T, pr *tdgProtocol, byGroup [][]mech.Report) mec
 		grids[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {
-		if err := postProcess2D(pr.p.D, grids, pr.opts.Rounds); err != nil {
+		if err := postProcessHybrid(pr.p.D, nil, grids, pr.opts.Rounds); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestHDGStreamingMatchesReportPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := prI.(*hdgProtocol)
+	pr := prI.(*gridProtocol)
 	reports, byGroup := clientReports(t, pr, ds)
 	streamed := submitAll(t, pr, reports)
 	reference := seedFinalizeHDG(t, pr, byGroup)
@@ -217,7 +217,7 @@ func TestTDGStreamingMatchesReportPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr := prI.(*tdgProtocol)
+			pr := prI.(*gridProtocol)
 			reports, byGroup := clientReports(t, pr, ds)
 			streamed := submitAll(t, pr, reports)
 			reference := seedFinalizeTDG(t, pr, byGroup)

@@ -28,7 +28,7 @@ func TestTraceSourceInterfaces(t *testing.T) {
 	if len(hts.LastAlg2ConvergenceTrace()) == 0 {
 		t.Error("lambda=3 answering should record an Algorithm 2 trace")
 	}
-	g1, g2 := hest.Granularity()
+	g1, g2 := hest.G1, hest.G2
 	if g1 < g2 || g2 < 2 {
 		t.Errorf("granularities (%d,%d) invalid", g1, g2)
 	}

@@ -41,13 +41,6 @@ func FOReports(rs []Report) []fo.Report {
 	return out
 }
 
-// OracleCheck adapts an oracle's report validation to the check signature
-// NewCountCollector takes, for collectors whose every group shares one
-// oracle.
-func OracleCheck(o fo.Oracle) func(Report) error {
-	return func(r Report) error { return o.CheckReport(r.FO()) }
-}
-
 // reportVersion is the wire-format version byte leading every binary report.
 const reportVersion = 1
 
