@@ -207,11 +207,7 @@ func (pr *hioProtocol) NewCollector() (mech.Collector, error) {
 			specs[g] = mech.GroupSpec{Retain: true}
 			continue
 		}
-		f, err := fo.NewFolder(o)
-		if err != nil {
-			return nil, err
-		}
-		specs[g] = mech.FolderSpec(f)
+		specs[g] = mech.OracleSpec(o)
 	}
 	return mech.NewCountCollector(pr, check, specs, pr.estimate)
 }

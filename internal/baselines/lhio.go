@@ -168,38 +168,22 @@ func (pr *lhioProtocol) NewCollector() (mech.Collector, error) {
 		}
 		return oracle.CheckReport(r.FO())
 	}
-	// Like the oracles, folders depend only on the level pair; all pairs
-	// share them (folds are stateless, so sharing is concurrency-safe).
-	folders := make([]*fo.Folder, pr.levels*pr.levels)
-	for ti, oracle := range pr.oracles {
-		if oracle == nil {
-			continue
-		}
-		f, err := fo.NewFolder(oracle)
-		if err != nil {
-			return nil, err
-		}
-		folders[ti] = f
-	}
 	specs := make([]mech.GroupSpec, pr.NumGroups())
 	for g := range specs {
 		_, ti := pr.split(g)
-		if f := folders[ti]; f != nil {
-			specs[g] = mech.FolderSpec(f)
+		if o := pr.oracles[ti]; o != nil {
+			specs[g] = mech.OracleSpec(o)
 		}
 		// (root, root) groups keep the zero spec: their reports are empty,
 		// only the tally matters.
 	}
-	return mech.NewCountCollector(pr, check, specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-		return pr.estimate(folders, byGroup)
-	})
+	return mech.NewCountCollector(pr, check, specs, pr.estimate)
 }
 
 // estimate estimates every level table from one snapshot of the folded
-// statistics, then runs the two consistency stages. folders is indexed like
-// pr.oracles (nil for (root, root)). The cost is O(groups × domain), flat
-// in n.
-func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
+// statistics, then runs the two consistency stages. The cost is
+// O(groups × domain), flat in n.
+func (pr *lhioProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, n := pr.p.D, pr.p.N
 	tree, levels, pairs := pr.tree, pr.levels, pr.pairs
 
@@ -218,7 +202,7 @@ func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCount
 				continue
 			}
 			gc := &byGroup[pi*levels*levels+ti]
-			freq[pi][ti] = folders[ti].Estimate(gc.Counts, int(gc.N))
+			freq[pi][ti] = oracle.EstimateCounts(gc.Counts, int(gc.N))
 			variance[pi][ti] = oracle.Var(int(gc.N))
 		}
 	}
@@ -226,11 +210,10 @@ func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCount
 	// Stage 1: within-pair constrained inference, along attribute 1 for
 	// every fixed attribute-2 node, then transposed.
 	for pi := range pairs {
-		if err := ciAlongFirst(tree, levels, freq[pi], variance[pi]); err != nil {
-			return nil, err
-		}
-		if err := ciAlongSecond(tree, levels, freq[pi], variance[pi]); err != nil {
-			return nil, err
+		for _, first := range []bool{true, false} {
+			if err := ciAlong(tree, levels, freq[pi], variance[pi], first); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -250,61 +233,42 @@ func (pr *lhioProtocol) estimate(folders []*fo.Folder, byGroup []mech.GroupCount
 	return &lhioEstimator{c: pr.p.C, d: d, tree: tree, levels: levels, freq: freq, wu: wu}, nil
 }
 
-// ciAlongFirst runs constrained inference on the attribute-1 tree slices of
-// one pair's level tables: for every attribute-2 level l2 and node i2, the
-// nodes {(l1, i1) × fixed (l2, i2)} form a 1-D hierarchy.
-func ciAlongFirst(tree *hierarchy.Tree, levels int, tables [][]float64, variance []float64) error {
-	for l2 := 0; l2 < levels; l2++ {
-		k2 := tree.CountAt(l2)
-		x := make([][]float64, levels)
-		v := make([]float64, levels)
-		for i2 := 0; i2 < k2; i2++ {
-			for l1 := 0; l1 < levels; l1++ {
-				k1 := tree.CountAt(l1)
-				x[l1] = make([]float64, k1)
-				for i1 := 0; i1 < k1; i1++ {
-					x[l1][i1] = tables[l1*levels+l2][i1*k2+i2]
-				}
-				v[l1] = variance[l1*levels+l2]
-			}
-			out, err := tree.ConstrainedInference(x, v)
-			if err != nil {
-				return err
-			}
-			for l1 := 0; l1 < levels; l1++ {
-				k1 := tree.CountAt(l1)
-				for i1 := 0; i1 < k1; i1++ {
-					tables[l1*levels+l2][i1*k2+i2] = out[l1][i1]
-				}
-			}
+// ciAlong runs constrained inference on one pair's level tables along one
+// attribute, the first when first is set: for every level lo and node io of
+// the other attribute, the nodes {(la, ia) × fixed (lo, io)} form a 1-D
+// hierarchy.
+func ciAlong(tree *hierarchy.Tree, levels int, tables [][]float64, variance []float64, first bool) error {
+	// cell locates node (la, ia) of the inferred attribute crossed with
+	// node (lo, io) of the other: its level table and its index there.
+	cell := func(la, ia, lo, io int) (ti, j int) {
+		if first {
+			return la*levels + lo, ia*tree.CountAt(lo) + io
 		}
+		return lo*levels + la, io*tree.CountAt(la) + ia
 	}
-	return nil
-}
-
-// ciAlongSecond is ciAlongFirst transposed.
-func ciAlongSecond(tree *hierarchy.Tree, levels int, tables [][]float64, variance []float64) error {
-	for l1 := 0; l1 < levels; l1++ {
-		k1 := tree.CountAt(l1)
-		x := make([][]float64, levels)
-		v := make([]float64, levels)
-		for i1 := 0; i1 < k1; i1++ {
-			for l2 := 0; l2 < levels; l2++ {
-				k2 := tree.CountAt(l2)
-				x[l2] = make([]float64, k2)
-				for i2 := 0; i2 < k2; i2++ {
-					x[l2][i2] = tables[l1*levels+l2][i1*k2+i2]
+	x := make([][]float64, levels)
+	for la := range x {
+		x[la] = make([]float64, tree.CountAt(la))
+	}
+	v := make([]float64, levels)
+	for lo := 0; lo < levels; lo++ {
+		for io := 0; io < tree.CountAt(lo); io++ {
+			for la, row := range x {
+				ti, _ := cell(la, 0, lo, io)
+				v[la] = variance[ti]
+				for ia := range row {
+					ti, j := cell(la, ia, lo, io)
+					row[ia] = tables[ti][j]
 				}
-				v[l2] = variance[l1*levels+l2]
 			}
 			out, err := tree.ConstrainedInference(x, v)
 			if err != nil {
 				return err
 			}
-			for l2 := 0; l2 < levels; l2++ {
-				k2 := tree.CountAt(l2)
-				for i2 := 0; i2 < k2; i2++ {
-					tables[l1*levels+l2][i1*k2+i2] = out[l2][i2]
+			for la, row := range out {
+				for ia, f := range row {
+					ti, j := cell(la, ia, lo, io)
+					tables[ti][j] = f
 				}
 			}
 		}

@@ -138,7 +138,9 @@ func runAblationFO(cfg RunConfig) ([]*Result, error) {
 				for i := range reports {
 					reports[i] = oracle.Perturb(0, rng)
 				}
-				ests[tr] = oracle.EstimateAll(reports)[c/2]
+				counts := make([]int64, oracle.StatLen())
+				oracle.Fold(reports, counts)
+				ests[tr] = oracle.EstimateCounts(counts, nPer)[c/2]
 			}
 			st := meanStd(ests)
 			// Variance scaled by n so numbers are comparable across rows.

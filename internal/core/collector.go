@@ -145,49 +145,29 @@ func (pr *gridProtocol) ClientReport(a mech.Assignment, record []int, rng *rand.
 // so memory stays O(groups × granularity) and Finalize reads count vectors
 // instead of rescanning O(n) reports.
 func (pr *gridProtocol) NewCollector() (mech.Collector, error) {
-	var f1 *fo.Folder
-	var spec1 mech.GroupSpec
-	var err error
-	if pr.m1 > 0 {
-		if f1, err = fo.NewFolder(pr.o1); err != nil {
-			return nil, err
-		}
-		spec1 = mech.FolderSpec(f1)
-	}
-	f2, err := fo.NewFolder(pr.o2)
-	if err != nil {
-		return nil, err
-	}
-	spec2 := mech.FolderSpec(f2)
 	specs := make([]mech.GroupSpec, pr.NumGroups())
 	for g := range specs {
-		specs[g] = spec2
-		if g < pr.m1 {
-			specs[g] = spec1
-		}
+		specs[g] = mech.OracleSpec(pr.oracle(g))
 	}
-	check := func(r mech.Report) error {
-		if r.Group < pr.m1 {
-			return pr.o1.CheckReport(r.FO())
-		}
-		return pr.o2.CheckReport(r.FO())
+	check := func(r mech.Report) error { return pr.oracle(r.Group).CheckReport(r.FO()) }
+	return mech.NewCountCollector(pr, check, specs, pr.estimate)
+}
+
+// oracle returns group g's oracle: o1 for the 1-D groups, o2 for the pairs.
+func (pr *gridProtocol) oracle(g int) fo.Oracle {
+	if g < pr.m1 {
+		return pr.o1
 	}
-	return mech.NewCountCollector(pr, check, specs, func(byGroup []mech.GroupCounts) (mech.Estimator, error) {
-		return pr.estimate(f1, f2, byGroup)
-	})
+	return pr.o2
 }
 
 // estimate turns one snapshot of per-group statistics into the query-time
-// estimator: estimate every grid from its group's folded statistic (f1 for
-// the 1-D groups, f2 for the pair groups), post-process, and wrap — in
-// tdgEstimator's uniformity rule without 1-D grids, in hdgEstimator's
-// Algorithm 1 with them. The estimates are bit-identical to the former
-// report-multiset path (EstimateAll over the group's reports) because the
-// folded counts are the exact integers that scan would tally — and because
-// the whole pipeline is a pure function of the counts, an Estimate over a
-// report prefix matches a one-shot Finalize over the same prefix bit for
-// bit.
-func (pr *gridProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) (mech.Estimator, error) {
+// estimator: estimate every grid from its group's folded statistic,
+// post-process, and wrap — in tdgEstimator's uniformity rule without 1-D
+// grids, in hdgEstimator's Algorithm 1 with them. The whole pipeline is a
+// pure function of the counts, so an Estimate over a report prefix matches
+// a one-shot Finalize over the same prefix bit for bit.
+func (pr *gridProtocol) estimate(byGroup []mech.GroupCounts) (mech.Estimator, error) {
 	d, c := pr.p.D, pr.p.C
 	var grids1 []*grid.Grid1D
 	for a := 0; a < pr.m1; a++ {
@@ -195,7 +175,7 @@ func (pr *gridProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) 
 		if err != nil {
 			return nil, err
 		}
-		copy(g.Freq, f1.Estimate(byGroup[a].Counts, int(byGroup[a].N)))
+		copy(g.Freq, pr.o1.EstimateCounts(byGroup[a].Counts, int(byGroup[a].N)))
 		grids1 = append(grids1, g)
 	}
 	grids2 := make([]*grid.Grid2D, len(pr.pairs))
@@ -205,7 +185,7 @@ func (pr *gridProtocol) estimate(f1, f2 *fo.Folder, byGroup []mech.GroupCounts) 
 			return nil, err
 		}
 		gc := byGroup[pr.m1+pi]
-		copy(g.Freq, f2.Estimate(gc.Counts, int(gc.N)))
+		copy(g.Freq, pr.o2.EstimateCounts(gc.Counts, int(gc.N)))
 		grids2[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {

@@ -43,7 +43,8 @@ func TestHDGProtocolResolution(t *testing.T) {
 // TestGridProtocolRejectsBadG2 vets a g₂ override when the protocol is
 // built. Go's 64 % -4 is 0, so a divisibility check alone passes g₂ = -4,
 // and clients would then compute negative cells that the aggregator rejects
-// only at Finalize.
+// only at Finalize. A negative g₁ override is rejected too, where lifting
+// it to g₂ would deploy a granularity nobody asked for.
 func TestGridProtocolRejectsBadG2(t *testing.T) {
 	p := mech.Params{N: 1000, D: 3, C: 64, Eps: 1}
 	cases := []struct {
@@ -51,6 +52,7 @@ func TestGridProtocolRejectsBadG2(t *testing.T) {
 		m    mech.Mechanism
 	}{
 		{"HDG g2=-4", NewHDG(Options{G1: 16, G2: -4})},
+		{"HDG g1=-16", NewHDG(Options{G1: -16, G2: 4})},
 		{"TDG g2=-4", NewTDG(Options{G2: -4})},
 		{"HDG g2=1", NewHDG(Options{G1: 16, G2: 1})},
 		{"TDG g2=1", NewTDG(Options{G2: 1})},

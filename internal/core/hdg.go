@@ -122,6 +122,9 @@ func (h *HDG) Protocol(p mech.Params) (mech.Protocol, error) {
 	}
 
 	g1, g2 := opts.G1, opts.G2
+	if g1 < 0 {
+		return nil, fmt.Errorf("core: granularity g1=%d must not be negative", g1)
+	}
 	if g1 == 0 || g2 == 0 {
 		gg1, _ := Granularities(p.Eps, float64(n1)/float64(m1), c, opts.Alpha1, opts.Alpha2)
 		_, gg2 := Granularities(p.Eps, float64(n-n1)/float64(m2), c, opts.Alpha1, opts.Alpha2)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"privmdr/internal/dataset"
+	"privmdr/internal/fo"
 	"privmdr/internal/grid"
 	"privmdr/internal/ldprand"
 	"privmdr/internal/mech"
@@ -11,11 +12,11 @@ import (
 	"privmdr/internal/query"
 )
 
-// These are the streaming golden tests: the collectors now fold reports
-// into count vectors at ingest, and the reference below replays the seed's
-// report-multiset finalize — group the raw reports, EstimateAll per group,
-// then the identical post-processing — asserting the two paths produce
-// bit-identical answers.
+// These are the streaming golden tests: the collectors fold reports into
+// count vectors at ingest, and the reference below replays the seed's
+// report-multiset finalize — group the raw reports, fold each group's
+// reports as one run, then the identical post-processing — asserting the
+// two paths produce bit-identical answers.
 
 // clientReports runs the client side for every user and groups the reports.
 func clientReports(t *testing.T, pr mech.Protocol, ds *dataset.Dataset) (all []mech.Report, byGroup [][]mech.Report) {
@@ -39,6 +40,14 @@ func clientReports(t *testing.T, pr mech.Protocol, ds *dataset.Dataset) (all []m
 		byGroup[rep.Group] = append(byGroup[rep.Group], rep)
 	}
 	return all, byGroup
+}
+
+// foldGroup folds one group's reports as one run and estimates from the
+// statistic.
+func foldGroup(o fo.Oracle, rs []mech.Report) []float64 {
+	counts := make([]int64, o.StatLen())
+	o.Fold(mech.FOReports(rs), counts)
+	return o.EstimateCounts(counts, len(rs))
 }
 
 // submitAll streams every report through a fresh collector and finalizes.
@@ -77,7 +86,8 @@ func assertSameAnswers(t *testing.T, got, want mech.Estimator, qs []query.Query)
 }
 
 // seedFinalizeHDG is the seed's hdgCollector.Finalize over explicit report
-// multisets, preserved verbatim as the golden reference.
+// multisets, each group folded as one run, preserved as the golden
+// reference.
 func seedFinalizeHDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
 	d, cc := pr.p.D, pr.p.C
@@ -87,7 +97,7 @@ func seedFinalizeHDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) me
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(g.Freq, pr.o1.EstimateAll(mech.FOReports(byGroup[a])))
+		copy(g.Freq, foldGroup(pr.o1, byGroup[a]))
 		grids1[a] = g
 	}
 	grids2 := make([]*grid.Grid2D, len(pr.pairs))
@@ -96,7 +106,7 @@ func seedFinalizeHDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) me
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(g.Freq, pr.o2.EstimateAll(mech.FOReports(byGroup[d+pi])))
+		copy(g.Freq, foldGroup(pr.o2, byGroup[d+pi]))
 		grids2[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {
@@ -111,8 +121,8 @@ func seedFinalizeHDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) me
 	return newHDGEstimator(cc, d, pr.g1, pr.g2, grids1, grids2, wu, pr.opts.CollectTraces)
 }
 
-// seedFinalizeTDG is the seed's tdgCollector.Finalize preserved verbatim,
-// answering through the seed's answer rule.
+// seedFinalizeTDG is the seed's tdgCollector.Finalize, each group folded as
+// one run, answering through the seed's answer rule.
 func seedFinalizeTDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) mech.Estimator {
 	t.Helper()
 	grids := make([]*grid.Grid2D, len(pr.pairs))
@@ -121,7 +131,7 @@ func seedFinalizeTDG(t *testing.T, pr *gridProtocol, byGroup [][]mech.Report) me
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(g.Freq, pr.o2.EstimateAll(mech.FOReports(byGroup[pi])))
+		copy(g.Freq, foldGroup(pr.o2, byGroup[pi]))
 		grids[pi] = g
 	}
 	if !pr.opts.SkipPostProcess {

@@ -19,7 +19,8 @@ type Options struct {
 	// Alpha1/Alpha2 override the guideline constants (0 → defaults).
 	Alpha1, Alpha2 float64
 	// G1/G2 override the granularities entirely (0 → use the guideline).
-	// G1 is ignored by TDG.
+	// G1 is ignored by TDG; HDG rejects a negative G1 and raises one below
+	// G2 to G2.
 	G1, G2 int
 	// Sigma is the fraction of users assigned to 1-D grids in HDG (0 → the
 	// even-split default d/(d+(d choose 2))). Ignored by TDG. Appendix A.5

@@ -4,8 +4,10 @@
 //
 // A frequency oracle is the ε-LDP primitive every mechanism in this module is
 // built from: each user perturbs one categorical value v ∈ [0,c) into a
-// Report on the client side; the aggregator turns the collected reports into
-// unbiased frequency estimates for every value of the domain.
+// Report on the client side. The aggregator folds the reports into a
+// fixed-size integer sufficient statistic as they arrive (Fold) and keeps
+// nothing else; the oracle turns that statistic into unbiased frequency
+// estimates for every value of the domain (EstimateCounts).
 package fo
 
 import (
@@ -13,7 +15,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 
 	"privmdr/internal/ldprand"
@@ -27,9 +28,11 @@ type Report struct {
 	Value int
 }
 
-// Oracle is a categorical frequency oracle over the domain [0, Domain()).
+// Oracle is a categorical frequency oracle over the domain [0, Domain()),
+// defined by its fold: the aggregator sees reports only through Fold and
+// estimates only through EstimateCounts.
 type Oracle interface {
-	// Name identifies the protocol ("grr" or "olh").
+	// Name identifies the protocol ("grr", "olh" or "hadamard").
 	Name() string
 	// Domain is the input domain size c.
 	Domain() int
@@ -40,9 +43,16 @@ type Oracle interface {
 	// by an honest client of this oracle — the aggregator's first line of
 	// defense against malformed wire payloads.
 	CheckReport(r Report) error
-	// EstimateAll converts the collected reports into unbiased frequency
-	// estimates for all c values (fractions; they need not be in [0,1]).
-	EstimateAll(reports []Report) []float64
+	// StatLen is the length of the count vector Fold adds to.
+	StatLen() int
+	// Fold adds a run of reports, of any length, to counts (length
+	// StatLen). The reports must have passed CheckReport. Concurrent calls
+	// are safe when they target distinct count vectors.
+	Fold(run []Report, counts []int64)
+	// EstimateCounts converts a folded statistic over n reports into
+	// unbiased frequency estimates for all c values (fractions; they need
+	// not be in [0,1]). With n = 0 every estimate is 0.
+	EstimateCounts(counts []int64, n int) []float64
 	// Var is the per-value estimation variance with n reports, ignoring the
 	// small f_v-dependent term (Equations 2 and 3 of the paper).
 	Var(n int) float64
@@ -104,30 +114,8 @@ func (g *GRR) CheckReport(r Report) error {
 	return nil
 }
 
-// EstimateAll implements Oracle.
-func (g *GRR) EstimateAll(reports []Report) []float64 {
-	counts := make([]float64, g.c)
-	for _, r := range reports {
-		if r.Value >= 0 && r.Value < g.c {
-			counts[r.Value]++
-		}
-	}
-	n := float64(len(reports))
-	est := make([]float64, g.c)
-	if n == 0 {
-		return est
-	}
-	for v := range est {
-		est[v] = (counts[v]/n - g.q) / (g.p - g.q)
-	}
-	return est
-}
-
-// EstimateCounts converts a folded bucket-count statistic (see NewFolder)
-// into frequency estimates. For any report multiset folding to (counts, n)
-// the result is bit-identical to EstimateAll over those reports: the folded
-// counts are exact integers below 2⁵³, so float64(count) equals the
-// float-accumulated tally EstimateAll builds.
+// EstimateCounts implements Oracle over the folded bucket counts:
+// f_v = (count_v/n − q)/(p − q).
 func (g *GRR) EstimateCounts(counts []int64, n int) []float64 {
 	est := make([]float64, g.c)
 	if n == 0 {
@@ -160,11 +148,9 @@ type OLH struct {
 	p   float64 // e^ε/(e^ε+g−1)
 
 	// hv is the per-domain-value inner hash table — SplitMix64(v + φ) for
-	// every v in [0, c) — shared by Support and the streaming folder so the
-	// two aggregation paths evaluate the exact same hash family and cannot
-	// drift. Built lazily: HIO groups past their streaming cap construct OLH
-	// oracles over interval domains far too large to materialize O(c) state,
-	// and they only ever use Hash/EstimateOne/EstimateOneCount.
+	// every v in [0, c) — that Fold reads. Built on the first Fold: HIO
+	// groups past their streaming cap construct OLH oracles over interval
+	// domains far too large to materialize O(c) state, and they never fold.
 	hvOnce sync.Once
 	hv     []uint64
 }
@@ -206,8 +192,7 @@ func (o *OLH) Hash(seed uint64, v uint64) int {
 
 // valueHashes returns the precomputed inner hash per domain value, i.e.
 // hv[v] = SplitMix64(v + φ), so Hash(seed, v) ≡ Lemire(SplitMix64(seed ^
-// hv[v]), g). Every enumerating aggregation path (Support, the folder)
-// reads this one table.
+// hv[v]), g). The first caller builds it; concurrent first callers wait.
 func (o *OLH) valueHashes() []uint64 {
 	o.hvOnce.Do(func() {
 		hv := make([]uint64, o.c)
@@ -245,70 +230,8 @@ func (o *OLH) CheckReport(r Report) error {
 	return nil
 }
 
-// Support counts, for each domain value v, how many reports "support" v,
-// i.e. Hash(seed_i, v) == y_i. The count is Θ(n·c) hash evaluations — the
-// cost that dominates marginal-sized domains — so it fans out across CPUs;
-// the result is deterministic regardless of parallelism.
-func (o *OLH) Support(reports []Report) []float64 {
-	counts := make([]float64, o.c)
-	o.valueHashes() // build the shared table before the workers fan out
-	workers := runtime.GOMAXPROCS(0)
-	if o.c < 64 || len(reports) < 1024 || workers < 2 {
-		o.supportRange(reports, counts, 0, o.c)
-		return counts
-	}
-	if workers > o.c/16 {
-		workers = o.c / 16
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * o.c / workers
-		hi := (w + 1) * o.c / workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o.supportRange(reports, counts, lo, hi)
-		}()
-	}
-	wg.Wait()
-	return counts
-}
-
-func (o *OLH) supportRange(reports []Report, counts []float64, lo, hi int) {
-	g := o.gw
-	hv := o.valueHashes()
-	for v := lo; v < hi; v++ {
-		h := hv[v]
-		n := 0
-		for i := range reports {
-			if hb, _ := bits.Mul64(ldprand.SplitMix64(reports[i].Seed^h), g); int(hb) == reports[i].Value {
-				n++
-			}
-		}
-		counts[v] = float64(n)
-	}
-}
-
-// EstimateAll implements Oracle: f_v = (support_v/n − 1/g)/(p − 1/g).
-func (o *OLH) EstimateAll(reports []Report) []float64 {
-	counts := o.Support(reports)
-	n := float64(len(reports))
-	est := make([]float64, o.c)
-	if n == 0 {
-		return est
-	}
-	qs := 1 / float64(o.g)
-	denom := o.p - qs
-	for v := range est {
-		est[v] = (counts[v]/n - qs) / denom
-	}
-	return est
-}
-
-// EstimateCounts converts a folded support statistic (see NewFolder) into
-// frequency estimates, bit-identical to EstimateAll over any report multiset
-// folding to (counts, n): Support's per-value tallies are the same exact
-// integers the folder accumulates.
+// EstimateCounts implements Oracle over the folded support vector:
+// f_v = (support_v/n − 1/g)/(p − 1/g).
 func (o *OLH) EstimateCounts(counts []int64, n int) []float64 {
 	est := make([]float64, o.c)
 	if n == 0 {
@@ -323,9 +246,10 @@ func (o *OLH) EstimateCounts(counts []int64, n int) []float64 {
 	return est
 }
 
-// EstimateOne estimates the frequency of a single value v without
-// materializing the whole domain. Used by HIO, whose interval domains are
-// far too large to enumerate.
+// EstimateOne estimates the frequency of a single value v by scanning the
+// reports, without materializing the whole domain. It is the one
+// report-scan estimator left: HIO's groups past the streaming cap keep
+// their reports, because their interval domains are far too large to fold.
 func (o *OLH) EstimateOne(reports []Report, v uint64) float64 {
 	if len(reports) == 0 {
 		return 0
@@ -342,7 +266,7 @@ func (o *OLH) EstimateOne(reports []Report, v uint64) float64 {
 }
 
 // EstimateOneCount is EstimateOne over a pre-folded support tally: given
-// support_v (the count a folder accumulated for value v) and the group's
+// support_v (the count Fold accumulated for value v) and the group's
 // report count, it evaluates the same debias expression in the same
 // operation order, so it is bit-identical to EstimateOne over any report
 // multiset folding to (support, n). Used by streaming HIO, which looks one

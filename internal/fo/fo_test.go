@@ -28,6 +28,11 @@ func plantedReports(t *testing.T, o Oracle, dist []float64, n int, rng *rand.Ran
 	return reports
 }
 
+// foldEstimate folds reports as one run and estimates from the statistic.
+func foldEstimate(o Oracle, reports []Report) []float64 {
+	return o.EstimateCounts(foldAll(o, reports), len(reports))
+}
+
 // checkUnbiased asserts every estimate is within tol of the truth.
 func checkUnbiased(t *testing.T, name string, est, dist []float64, tol float64) {
 	t.Helper()
@@ -71,7 +76,7 @@ func TestGRRUnbiased(t *testing.T) {
 	n := 200_000
 	rng := ldprand.New(2)
 	reports := plantedReports(t, g, dist, n, rng)
-	est := g.EstimateAll(reports)
+	est := foldEstimate(g, reports)
 	// 6σ bound from the variance formula.
 	tol := 6 * math.Sqrt(g.Var(n))
 	checkUnbiased(t, "GRR", est, dist, tol)
@@ -98,7 +103,7 @@ func TestGRREmpiricalVariance(t *testing.T) {
 		for i := range reports {
 			reports[i] = g.Perturb(0, rng) // everyone holds value 0
 		}
-		ests[tr] = g.EstimateAll(reports)[3] // a value nobody holds
+		ests[tr] = foldEstimate(g, reports)[3] // a value nobody holds
 	}
 	mean, m2 := 0.0, 0.0
 	for _, e := range ests {
@@ -156,23 +161,23 @@ func TestOLHUnbiased(t *testing.T) {
 	n := 100_000
 	rng := ldprand.New(4)
 	reports := plantedReports(t, o, dist, n, rng)
-	est := o.EstimateAll(reports)
+	est := foldEstimate(o, reports)
 	tol := 6 * math.Sqrt(o.Var(n))
 	checkUnbiased(t, "OLH", est, dist, tol)
 }
 
-func TestOLHEstimateOneMatchesEstimateAll(t *testing.T) {
+func TestOLHEstimateOneMatchesFold(t *testing.T) {
 	o, _ := NewOLH(0.8, 8)
 	rng := ldprand.New(5)
 	reports := make([]Report, 5000)
 	for i := range reports {
 		reports[i] = o.Perturb(i%8, rng)
 	}
-	all := o.EstimateAll(reports)
+	all := foldEstimate(o, reports)
 	for v := 0; v < 8; v++ {
 		one := o.EstimateOne(reports, uint64(v))
 		if math.Abs(one-all[v]) > 1e-12 {
-			t.Errorf("EstimateOne(%d) = %g, EstimateAll = %g", v, one, all[v])
+			t.Errorf("EstimateOne(%d) = %g, folded estimate = %g", v, one, all[v])
 		}
 	}
 }
@@ -229,7 +234,7 @@ func TestHadamardUnbiased(t *testing.T) {
 	n := 100_000
 	rng := ldprand.New(7)
 	reports := plantedReports(t, h, dist, n, rng)
-	est := h.EstimateAll(reports)
+	est := foldEstimate(h, reports)
 	tol := 6 * math.Sqrt(h.Var(n))
 	checkUnbiased(t, "Hadamard", est, dist, tol)
 }
@@ -258,7 +263,7 @@ func TestHadamardEmpiricalVariance(t *testing.T) {
 		for i := range reports {
 			reports[i] = h.Perturb(0, rng)
 		}
-		ests[tr] = h.EstimateAll(reports)[5]
+		ests[tr] = foldEstimate(h, reports)[5]
 	}
 	mean, m2 := 0.0, 0.0
 	for _, e := range ests {
@@ -360,12 +365,14 @@ func TestConstructorErrors(t *testing.T) {
 	}
 }
 
+// TestEmptyReports pins the n = 0 convention: folding no reports leaves an
+// all-zero statistic, which estimates 0 for every value.
 func TestEmptyReports(t *testing.T) {
 	g, _ := NewGRR(1, 4)
 	o, _ := NewOLH(1, 4)
 	h, _ := NewHadamard(1, 4)
 	for _, oracle := range []Oracle{g, o, h} {
-		est := oracle.EstimateAll(nil)
+		est := foldEstimate(oracle, nil)
 		for v, e := range est {
 			if e != 0 {
 				t.Errorf("%s: empty reports should estimate 0, got est[%d]=%g", oracle.Name(), v, e)
@@ -399,24 +406,5 @@ func TestDomainAccessors(t *testing.T) {
 	h, _ := NewHadamard(1, 77)
 	if g.Domain() != 12 || o.Domain() != 300 || h.Domain() != 77 {
 		t.Error("Domain accessors broken")
-	}
-}
-
-func TestSupportParallelMatchesSequential(t *testing.T) {
-	// The parallel path engages at c >= 64 with >= 1024 reports; it must be
-	// bit-identical to the sequential path.
-	o, _ := NewOLH(1.0, 256)
-	rng := ldprand.New(11)
-	reports := make([]Report, 3000)
-	for i := range reports {
-		reports[i] = o.Perturb(i%256, rng)
-	}
-	parallel := o.Support(reports)
-	sequential := make([]float64, 256)
-	o.supportRange(reports, sequential, 0, 256)
-	for v := range parallel {
-		if parallel[v] != sequential[v] {
-			t.Fatalf("support mismatch at %d: %g vs %g", v, parallel[v], sequential[v])
-		}
 	}
 }

@@ -78,34 +78,8 @@ func (h *Hadamard) CheckReport(r Report) error {
 	return nil
 }
 
-// EstimateAll implements Oracle: accumulate per-row signed counts, transform
-// once, and rescale.
-func (h *Hadamard) EstimateAll(reports []Report) []float64 {
-	y := make([]float64, h.k)
-	for _, r := range reports {
-		if r.Seed < uint64(h.k) {
-			y[r.Seed] += float64(1 - 2*r.Value)
-		}
-	}
-	fwht(y)
-	n := float64(len(reports))
-	est := make([]float64, h.c)
-	if n == 0 {
-		return est
-	}
-	ee := math.Exp(h.eps)
-	scale := (ee + 1) / (ee - 1) // (p−q)⁻¹ for binary randomized response
-	for v := 0; v < h.c; v++ {
-		est[v] = y[v+1] * scale / n
-	}
-	return est
-}
-
-// EstimateCounts converts folded per-row signed counts (see NewFolder) into
-// frequency estimates, bit-identical to EstimateAll over any report multiset
-// folding to (counts, n): the ±1 accumulation EstimateAll performs in
-// float64 is exact integer arithmetic below 2⁵³, so seeding the transform
-// from the integer tallies reproduces the same y vector.
+// EstimateCounts implements Oracle over the folded per-row signed counts:
+// transform once and rescale.
 func (h *Hadamard) EstimateCounts(counts []int64, n int) []float64 {
 	y := make([]float64, h.k)
 	for i, c := range counts {
@@ -117,7 +91,7 @@ func (h *Hadamard) EstimateCounts(counts []int64, n int) []float64 {
 		return est
 	}
 	ee := math.Exp(h.eps)
-	scale := (ee + 1) / (ee - 1)
+	scale := (ee + 1) / (ee - 1) // (p−q)⁻¹ for binary randomized response
 	nf := float64(n)
 	for v := 0; v < h.c; v++ {
 		est[v] = y[v+1] * scale / nf

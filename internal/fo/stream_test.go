@@ -2,24 +2,25 @@ package fo
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"privmdr/internal/ldprand"
 )
 
 // foldAll folds reports into a fresh statistic as one run.
-func foldAll(f *Folder, reports []Report) []int64 {
-	counts := make([]int64, f.StatLen())
-	f.FoldBatch(reports, counts)
+func foldAll(o Oracle, reports []Report) []int64 {
+	counts := make([]int64, o.StatLen())
+	o.Fold(reports, counts)
 	return counts
 }
 
 // foldRuns folds reports into counts cut into consecutive runs whose
 // lengths runLen draws from the number of reports left.
-func foldRuns(f *Folder, reports []Report, counts []int64, runLen func(left int) int) {
+func foldRuns(o Oracle, reports []Report, counts []int64, runLen func(left int) int) {
 	for len(reports) > 0 {
 		k := runLen(len(reports))
-		f.FoldBatch(reports[:k], counts)
+		o.Fold(reports[:k], counts)
 		reports = reports[k:]
 	}
 }
@@ -38,12 +39,42 @@ func perturbed(o Oracle, n int, rng *rand.Rand) []Report {
 	return reports
 }
 
-// TestFolderMatchesEstimateAll is the streaming golden contract: for every
-// counting oracle, folding the reports in runs of random length (one-report
-// runs included) and estimating from the statistic is bit-identical to
-// EstimateAll over the whole multiset. This is the lemma the
-// mechanism-level streaming collectors rest on.
-func TestFolderMatchesEstimateAll(t *testing.T) {
+// scanCounts computes the sufficient statistic one report at a time,
+// without the fold kernels: GRR bucket counts, OLH support through the
+// clients' Hash, and Hadamard signed row counts.
+func scanCounts(o Oracle, reports []Report) []int64 {
+	switch o := o.(type) {
+	case *GRR:
+		counts := make([]int64, o.Domain())
+		for _, r := range reports {
+			counts[r.Value]++
+		}
+		return counts
+	case *OLH:
+		counts := make([]int64, o.Domain())
+		for _, r := range reports {
+			for v := range counts {
+				if o.Hash(r.Seed, uint64(v)) == r.Value {
+					counts[v]++
+				}
+			}
+		}
+		return counts
+	case *Hadamard:
+		counts := make([]int64, o.Order())
+		for _, r := range reports {
+			counts[r.Seed] += int64(1 - 2*r.Value)
+		}
+		return counts
+	}
+	panic("scanCounts: unknown oracle " + o.Name())
+}
+
+// TestFoldMatchesScan is the fold contract: for every oracle, folding the
+// reports in runs of random length (one-report runs included) yields
+// exactly the statistic a one-report-at-a-time scan computes. This is the
+// lemma the mechanism-level streaming collectors rest on.
+func TestFoldMatchesScan(t *testing.T) {
 	cases := []struct {
 		name string
 		mk   func() (Oracle, error)
@@ -59,28 +90,23 @@ func TestFolderMatchesEstimateAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := NewFolder(o)
-			if err != nil {
-				t.Fatal(err)
-			}
 			reports := perturbed(o, 5000, ldprand.New(7))
 			rng := ldprand.New(8)
-			counts := make([]int64, f.StatLen())
-			foldRuns(f, reports, counts, func(left int) int { return 1 + rng.IntN(min(left, 32)) })
-			want := o.EstimateAll(reports)
-			got := f.Estimate(counts, len(reports))
-			if len(got) != len(want) {
-				t.Fatalf("estimate length %d, want %d", len(got), len(want))
+			counts := make([]int64, o.StatLen())
+			foldRuns(o, reports, counts, func(left int) int { return 1 + rng.IntN(min(left, 32)) })
+			want := scanCounts(o, reports)
+			if len(counts) != len(want) {
+				t.Fatalf("statistic length %d, want %d", len(counts), len(want))
 			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("value %d: folded estimate %v != EstimateAll %v", v, got[v], want[v])
+			for i := range want {
+				if counts[i] != want[i] {
+					t.Fatalf("slot %d: folded count %d != scanned count %d", i, counts[i], want[i])
 				}
 			}
 			// The statistic is mergeable: folding two halves separately and
 			// adding the vectors matches folding everything into one.
-			left := foldAll(f, reports[:len(reports)/2])
-			right := foldAll(f, reports[len(reports)/2:])
+			left := foldAll(o, reports[:len(reports)/2])
+			right := foldAll(o, reports[len(reports)/2:])
 			for i := range left {
 				if left[i]+right[i] != counts[i] {
 					t.Fatalf("slot %d: %d + %d != %d after split fold", i, left[i], right[i], counts[i])
@@ -90,12 +116,12 @@ func TestFolderMatchesEstimateAll(t *testing.T) {
 	}
 }
 
-// TestFoldBatchMatchesFold is the run-fold property: for every counting
-// oracle, FoldBatch over ANY partition of a shuffled report multiset into
-// runs — one-report runs, as Submit folds them, included — is bit-identical
-// to folding the whole multiset as one run. This is the lemma CountIngest's
-// one fold path rests on — the statistic is a vector of commuting integer
-// adds, so chunking and reordering cannot change it.
+// TestFoldBatchMatchesFold is the run-fold property: for every oracle, Fold
+// over ANY partition of a shuffled report multiset into runs — one-report
+// runs, as Submit folds them, included — is bit-identical to folding the
+// whole multiset as one run. This is the lemma CountIngest's one fold path
+// rests on — the statistic is a vector of commuting integer adds, so
+// chunking and reordering cannot change it.
 func TestFoldBatchMatchesFold(t *testing.T) {
 	cases := []struct {
 		name string
@@ -111,13 +137,9 @@ func TestFoldBatchMatchesFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := NewFolder(o)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rng := ldprand.New(21)
 			reports := perturbed(o, 3000, rng)
-			want := foldAll(f, reports)
+			want := foldAll(o, reports)
 			for trial := 0; trial < 6; trial++ {
 				shuffled := append([]Report(nil), reports...)
 				rng.Shuffle(len(shuffled), func(i, j int) {
@@ -127,8 +149,8 @@ func TestFoldBatchMatchesFold(t *testing.T) {
 				if trial == 0 {
 					runLen = func(int) int { return 1 }
 				}
-				got := make([]int64, f.StatLen())
-				foldRuns(f, shuffled, got, runLen)
+				got := make([]int64, o.StatLen())
+				foldRuns(o, shuffled, got, runLen)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("trial %d slot %d: run-partitioned fold %d != whole-run fold %d", trial, i, got[i], want[i])
@@ -136,83 +158,49 @@ func TestFoldBatchMatchesFold(t *testing.T) {
 				}
 			}
 			// Empty runs are no-ops.
-			got := foldAll(f, reports)
-			f.FoldBatch(nil, got)
+			got := foldAll(o, reports)
+			o.Fold(nil, got)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("slot %d changed by empty FoldBatch", i)
+					t.Fatalf("slot %d changed by empty Fold", i)
 				}
 			}
 		})
 	}
 }
 
-// TestOLHSupportMatchesFold pins the shared inner-hash table: the integer
-// support tallies the finalize-time Support scan computes must equal the
-// counts the streaming folder accumulates (and Fold-then-Estimate must
-// equal the Support-based EstimateAll), so the two readers of the oracle's
-// valueHashes cannot drift apart.
-func TestOLHSupportMatchesFold(t *testing.T) {
-	o, err := NewOLH(1.0, 128)
+// TestOLHFoldConcurrentFirstUse folds through a fresh OLH oracle from
+// four goroutines at once, so they race to build its value-hash table on
+// their first Fold; every vector must still equal the scan.
+func TestOLHFoldConcurrentFirstUse(t *testing.T) {
+	o, err := NewOLH(1, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFolder(o)
-	if err != nil {
-		t.Fatal(err)
+	reports := perturbed(o, 2000, ldprand.New(41))
+	want := scanCounts(o, reports)
+	got := make([][]int64, 4)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]int64, o.StatLen())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			o.Fold(reports, got[w])
+		}()
 	}
-	reports := perturbed(o, 4000, ldprand.New(31))
-	support := o.Support(reports)
-	folded := make([]int64, f.StatLen())
-	f.FoldBatch(reports, folded)
-	for v := range support {
-		if support[v] != float64(folded[v]) {
-			t.Fatalf("value %d: Support tally %v != folded count %d", v, support[v], folded[v])
-		}
-	}
-	wantEst := o.EstimateAll(reports)
-	gotEst := f.Estimate(folded, len(reports))
-	for v := range wantEst {
-		if gotEst[v] != wantEst[v] {
-			t.Fatalf("value %d: folded estimate %v != Support estimate %v", v, gotEst[v], wantEst[v])
-		}
-	}
-}
-
-// TestFolderEmpty pins the n = 0 convention: all-zero estimates, exactly
-// like EstimateAll over no reports.
-func TestFolderEmpty(t *testing.T) {
-	o, _ := NewOLH(1.0, 32)
-	f, err := NewFolder(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := f.Estimate(make([]int64, f.StatLen()), 0)
-	for v, e := range got {
-		if e != 0 {
-			t.Fatalf("value %d: empty estimate %v, want 0", v, e)
+	close(start)
+	wg.Wait()
+	for w := range got {
+		for v := range want {
+			if got[w][v] != want[v] {
+				t.Fatalf("goroutine %d, value %d: folded count %d != scanned count %d", w, v, got[w][v], want[v])
+			}
 		}
 	}
 }
-
-// TestFolderRejectsForeignOracle pins the capability split: an oracle from
-// outside the package cannot stream and must keep its reports.
-func TestFolderRejectsForeignOracle(t *testing.T) {
-	if _, err := NewFolder(foreignOracle{}); err == nil {
-		t.Fatal("foreign oracle should have no folder")
-	}
-}
-
-type foreignOracle struct{}
-
-func (foreignOracle) Name() string                         { return "foreign" }
-func (foreignOracle) Domain() int                          { return 2 }
-func (foreignOracle) Perturb(v int, rng *rand.Rand) Report { return Report{} }
-func (foreignOracle) CheckReport(r Report) error           { return nil }
-func (foreignOracle) EstimateAll(reports []Report) []float64 {
-	return make([]float64, 2)
-}
-func (foreignOracle) Var(n int) float64 { return 0 }
 
 // hashModulo is the pre-Lemire OLH reduction, kept here as the benchmark
 // baseline for the multiply-shift rewrite.
@@ -245,27 +233,12 @@ func BenchmarkOLHReduction(b *testing.B) {
 	})
 }
 
-// BenchmarkOLHSupport measures the finalize-time support scan (which the
-// streaming path amortizes across ingest); the Lemire reduction speeds up
-// both paths identically since they share the predicate.
-func BenchmarkOLHSupport(b *testing.B) {
-	o, err := NewOLH(1.0, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reports := perturbed(o, 10000, ldprand.New(11))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkFloats = o.Support(reports)
-	}
-}
-
-// BenchmarkFolderFold measures the streaming fold cost per report for each
-// counting oracle, in one-report runs ("seq", what each Submit pays) versus
-// whole 1024-report runs ("batch") — the ≥1.5x claim on the same-group
-// batched ingest path lives here for OLH, whose Θ(c)-per-report fold
-// dominates real ingest.
-func BenchmarkFolderFold(b *testing.B) {
+// BenchmarkOracleFold measures the fold cost per report for each oracle,
+// in one-report runs ("seq", what each Submit pays) versus whole
+// 1024-report runs ("batch") — the ≥1.5x claim on the same-group batched
+// ingest path lives here for OLH, whose Θ(c)-per-report fold dominates real
+// ingest.
+func BenchmarkOracleFold(b *testing.B) {
 	oracles := []struct {
 		name string
 		mk   func() (Oracle, error)
@@ -280,18 +253,15 @@ func BenchmarkFolderFold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f, err := NewFolder(o)
-		if err != nil {
-			b.Fatal(err)
-		}
 		reports := perturbed(o, batch, ldprand.New(12))
-		counts := make([]int64, f.StatLen())
+		counts := make([]int64, o.StatLen())
+		o.Fold(reports, counts) // OLH builds its value-hash table on the first Fold
 		b.Run(oc.name+"/seq", func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				j := i % batch
-				f.FoldBatch(reports[j:j+1], counts)
+				o.Fold(reports[j:j+1], counts)
 			}
 		})
 		b.Run(oc.name+"/batch", func(b *testing.B) {
@@ -303,13 +273,10 @@ func BenchmarkFolderFold(b *testing.B) {
 				if rem := b.N - done; rem < k {
 					k = rem
 				}
-				f.FoldBatch(reports[:k], counts)
+				o.Fold(reports[:k], counts)
 			}
 		})
 	}
 }
 
-var (
-	sinkInt    int
-	sinkFloats []float64
-)
+var sinkInt int

@@ -158,9 +158,10 @@ func defaultStripes() int {
 //
 // Fold must be safe for concurrent calls that target distinct count
 // vectors: the sharded write path folds the same group into different
-// stripes from different writers at once. The folders this module wires
-// (FolderSpec) qualify — all their mutable state lives in the caller's
-// vector.
+// stripes from different writers at once. The oracle folds this module
+// wires (OracleSpec) qualify — all their mutable state lives in the
+// caller's vector, apart from OLH's value-hash table, built once behind a
+// sync.Once.
 type GroupSpec struct {
 	Len    int
 	Fold   func(run []Report, counts []int64)

@@ -290,7 +290,7 @@ func TestCountIngestV1FoldEquivalence(t *testing.T) {
 // store level: any partition of a shuffled report multiset submitted
 // through SubmitBatch drains bit-identical to per-report Submit. fold-only
 // runs the plain counting fold, which walks a run report by report;
-// fold-batch runs FolderSpec over an OLH folder, the pooled, value-outer
+// fold-batch runs OracleSpec over an OLH oracle, the pooled, value-outer
 // batch fold every oracle-backed mechanism wires. The chunk sizes reach both
 // sides of the in-place rule: one-report and aligned three-report chunks
 // arrive in ascending group order and fold in place, the longer ones are
@@ -309,13 +309,9 @@ func TestSubmitBatchPartitionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folder, err := fo.NewFolder(olh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folderSpecs := make([]GroupSpec, pr.NumGroups())
-	for g := range folderSpecs {
-		folderSpecs[g] = FolderSpec(folder)
+	oracleSpecs := make([]GroupSpec, pr.NumGroups())
+	for g := range oracleSpecs {
+		oracleSpecs[g] = OracleSpec(olh)
 	}
 
 	for _, tc := range []struct {
@@ -323,7 +319,7 @@ func TestSubmitBatchPartitionIdentity(t *testing.T) {
 		specs []GroupSpec
 	}{
 		{"fold-only", batchCountSpecs(pr.NumGroups())},
-		{"fold-batch", folderSpecs},
+		{"fold-batch", oracleSpecs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, err := NewCountIngest(pr, nil, tc.specs)

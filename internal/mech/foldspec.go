@@ -6,7 +6,7 @@ import (
 	"privmdr/internal/fo"
 )
 
-// foRunPool recycles the []fo.Report buffers FolderSpec's fold unwraps
+// foRunPool recycles the []fo.Report buffers OracleSpec's fold unwraps
 // wire reports into, so the warm ingest path allocates nothing per run.
 // Reports hold no pointers, so a pooled buffer retains no references between
 // uses.
@@ -19,25 +19,24 @@ var foRunPool = sync.Pool{New: func() any { return new([]fo.Report) }}
 // pinning O(batch) pool memory for the process lifetime.
 const maxPooledRunScratch = 8192
 
-// FolderSpec is the GroupSpec for a group that streams through a
-// frequency-oracle folder: its fold unwraps a same-group run into a pooled
-// buffer and hands it to the folder's FoldBatch (value-outer inner loops,
-// hoisted bounds checks). It is the one adapter between the wire Report and
-// fo.Report shapes, shared by every oracle-backed mechanism (HDG, TDG,
+// OracleSpec is the GroupSpec for a group that streams through a frequency
+// oracle: its fold unwraps a same-group run into a pooled buffer and hands
+// it to the oracle's Fold. It is the one adapter between the wire Report
+// and fo.Report shapes, shared by every oracle-backed mechanism (HDG, TDG,
 // CALM, and the levels of HIO and LHIO). The fold satisfies GroupSpec's
-// concurrency contract — fo.Folder folds are stateless and foRunPool is a
-// sync.Pool — so the sharded collector may run it on the same group's
-// different stripes from concurrent writers.
-func FolderSpec(f *fo.Folder) GroupSpec {
+// concurrency contract — an oracle's Fold is safe on distinct count vectors
+// and foRunPool is a sync.Pool — so the sharded collector may run it on the
+// same group's different stripes from concurrent writers.
+func OracleSpec(o fo.Oracle) GroupSpec {
 	return GroupSpec{
-		Len: f.StatLen(),
+		Len: o.StatLen(),
 		Fold: func(rs []Report, counts []int64) {
 			bp := foRunPool.Get().(*[]fo.Report)
 			run := (*bp)[:0]
 			for i := range rs {
 				run = append(run, fo.Report{Seed: rs[i].Seed, Value: rs[i].Value})
 			}
-			f.FoldBatch(run, counts)
+			o.Fold(run, counts)
 			if cap(run) > maxPooledRunScratch {
 				run = nil
 			}
