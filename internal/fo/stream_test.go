@@ -169,6 +169,24 @@ func TestFoldBatchMatchesFold(t *testing.T) {
 	}
 }
 
+// TestFolderEmpty pins the n = 0 convention of the oracle's own fold: a
+// fresh statistic that folded no reports (or only an empty run) estimates
+// exactly 0 for every value, with no NaN from the division by n.
+func TestFolderEmpty(t *testing.T) {
+	o, _ := NewOLH(1.0, 32)
+	counts := make([]int64, o.StatLen())
+	o.Fold(nil, counts)
+	got := o.EstimateCounts(counts, 0)
+	if len(got) != o.Domain() {
+		t.Fatalf("empty estimate has %d values, want %d", len(got), o.Domain())
+	}
+	for v, e := range got {
+		if e != 0 {
+			t.Fatalf("value %d: empty estimate %v, want 0", v, e)
+		}
+	}
+}
+
 // TestOLHFoldConcurrentFirstUse folds through a fresh OLH oracle from
 // four goroutines at once, so they race to build its value-hash table on
 // their first Fold; every vector must still equal the scan.
